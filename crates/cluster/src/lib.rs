@@ -261,33 +261,6 @@ impl Standardizer {
             }
         }
     }
-
-    /// Transform one point.
-    #[deprecated(
-        since = "0.1.0",
-        note = "allocates a Vec per point; use `transform_into` (scratch) on hot paths"
-    )]
-    pub fn transform(&self, point: &[f64]) -> Vec<f64> {
-        let mut out = Vec::with_capacity(self.means.len());
-        self.transform_into(point, &mut out);
-        out
-    }
-
-    /// Transform a batch.
-    #[deprecated(
-        since = "0.1.0",
-        note = "allocates a Vec per row; use `transform_matrix` over a `FeatureMatrix`"
-    )]
-    pub fn transform_all(&self, points: &[Vec<f64>]) -> Vec<Vec<f64>> {
-        points
-            .iter()
-            .map(|p| {
-                let mut out = Vec::with_capacity(self.means.len());
-                self.transform_into(p, &mut out);
-                out
-            })
-            .collect()
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -885,14 +858,14 @@ mod tests {
     }
 
     #[test]
-    fn standardizer_transform_into_matches_deprecated_transform() {
+    fn standardizer_transform_into_matches_transform_matrix() {
         let pts = vec![vec![10.0, 100.0], vec![20.0, 200.0], vec![30.0, 300.0]];
         let s = Standardizer::fit(&pts).unwrap();
         let mut scratch = Vec::new();
         s.transform_into(&[15.0, 150.0], &mut scratch);
-        #[allow(deprecated)]
-        let old = s.transform(&[15.0, 150.0]);
-        assert_eq!(scratch, old);
+        let mut m = FeatureMatrix::from_rows(&[vec![15.0, 150.0]]);
+        s.transform_matrix(&mut m);
+        assert_eq!(scratch, m.row(0));
     }
 
     #[test]

@@ -3,9 +3,7 @@
 //! (§4.1's disjoint partition of the traffic).
 
 use crate::event::{EventKind, InferredEvent};
-use crate::periodic::{
-    PeriodicClassifier, PeriodicModelSet, PeriodicTimers, PeriodicTrainConfig,
-};
+use crate::periodic::{PeriodicModelSet, PeriodicTimers, PeriodicTrainConfig};
 use crate::user_action::{TrainingSample, UserActionModels, UserActionTrainConfig};
 use behaviot_flows::FlowRecord;
 use behaviot_intern::Symbol;
@@ -167,47 +165,11 @@ impl BehavIoT {
         flows: &[FlowRecord],
         par: Parallelism,
     ) -> (Vec<InferredEvent>, behaviot_net::IngestReport) {
-        let mut span = behaviot_obs::span!("events.infer", flows = flows.len());
-        let mut report = behaviot_net::IngestReport::new();
-        let sanitized = sanitize_flows(flows, &mut report);
-        let flows: &[FlowRecord] = sanitized.as_deref().unwrap_or(flows);
-        let mut ordered: Vec<&FlowRecord> = flows.iter().collect();
-        ordered.sort_by(|a, b| a.start.total_cmp(&b.start));
-        let user_hits: Vec<Option<(Symbol, f64)>> =
-            par_map(par, &ordered, |f| self.user.classify(f.device, &f.features));
-        let mut periodic_clf = PeriodicClassifier::new(&self.periodic);
+        let mut scratch = EventScratch::new();
         let mut out = Vec::with_capacity(flows.len());
-        for (f, user_hit) in ordered.into_iter().zip(user_hits) {
-            let (destination, proto) = f.group_key();
-            let kind = if let Some((activity, confidence)) = user_hit {
-                // Still advance the periodic timer for this group: the flow
-                // occupies the wire whatever we call it.
-                let _ = periodic_clf.classify(f);
-                EventKind::User {
-                    activity,
-                    confidence,
-                }
-            } else if periodic_clf.classify(f) {
-                EventKind::Periodic { destination, proto }
-            } else {
-                EventKind::Aperiodic
-            };
-            out.push(InferredEvent {
-                ts: f.start,
-                device: f.device,
-                destination,
-                proto,
-                kind,
-            });
-        }
-        let counts = EventCounts::of(&out);
-        let m = behaviot_obs::metrics();
-        m.counter("events.user").add(counts.user as u64);
-        m.counter("events.periodic").add(counts.periodic as u64);
-        m.counter("events.aperiodic").add(counts.aperiodic as u64);
-        span.record("user", counts.user);
-        span.record("periodic", counts.periodic);
-        span.record("aperiodic", counts.aperiodic);
+        let report = self.infer_events_in(flows, &mut scratch, &mut out, |flows, order, hits| {
+            *hits = par_map(par, order, |&i| self.user_hit(&flows[i as usize]));
+        });
         (out, report)
     }
 
@@ -227,12 +189,34 @@ impl BehavIoT {
         scratch: &mut EventScratch,
         out: &mut Vec<InferredEvent>,
     ) -> behaviot_net::IngestReport {
+        self.infer_events_in(flows, scratch, out, |flows, order, hits| {
+            hits.clear();
+            hits.extend(order.iter().map(|&i| self.user_hit(&flows[i as usize])));
+        })
+    }
+
+    fn user_hit(&self, f: &FlowRecord) -> Option<(Symbol, f64)> {
+        self.user.classify(f.device, &f.features)
+    }
+
+    /// The one event-inference body behind both entry points: sanitize,
+    /// order chronologically, classify user actions (`user_hits` fills one
+    /// verdict per flow of the given order — in parallel for the batch
+    /// entry, serially into reused scratch for the serving entry), then the
+    /// stateful periodic-timer pass and the counters.
+    fn infer_events_in(
+        &self,
+        flows: &[FlowRecord],
+        scratch: &mut EventScratch,
+        out: &mut Vec<InferredEvent>,
+        user_hits: impl FnOnce(&[FlowRecord], &[u32], &mut Vec<Option<(Symbol, f64)>>),
+    ) -> behaviot_net::IngestReport {
         let mut span = behaviot_obs::span!("events.infer", flows = flows.len());
         let mut report = behaviot_net::IngestReport::new();
         let sanitized = sanitize_flows(flows, &mut report);
         let flows: &[FlowRecord] = sanitized.as_deref().unwrap_or(flows);
-        // Reproduce the batch path's *stable* sort with an unstable one by
-        // keying on (start, original index).
+        // Keyed on (start, original index): an unstable sort that orders
+        // exactly like a stable sort on start.
         scratch.order.clear();
         scratch.order.extend(0..flows.len() as u32);
         scratch.order.sort_unstable_by(|&a, &b| {
@@ -241,13 +225,7 @@ impl BehavIoT {
                 .total_cmp(&flows[b as usize].start)
                 .then(a.cmp(&b))
         });
-        scratch.user_hits.clear();
-        scratch.user_hits.extend(
-            scratch
-                .order
-                .iter()
-                .map(|&i| self.user.classify(flows[i as usize].device, &flows[i as usize].features)),
-        );
+        user_hits(flows, &scratch.order, &mut scratch.user_hits);
         scratch.timers.reset();
         out.clear();
         for (&i, &user_hit) in scratch.order.iter().zip(&scratch.user_hits) {

@@ -25,7 +25,8 @@
 //!    windows.
 //! 5. **Applications** (§7.2): [`destinations`] reproduces the destination
 //!    party/essentiality analysis; [`profile`] exports MUD-like profiles;
-//!    [`persist`] ships lab-trained models to gateway deployments.
+//!    the `behaviot-store` crate ships lab-trained models to gateway
+//!    deployments.
 //! 6. **Extensions** (§7.3 future work): [`unsupervised`] discovers
 //!    pseudo-activities without ground-truth labels;
 //!    [`events::BehavIoT::retrain_periodic`] refreshes periodic models.
@@ -76,7 +77,6 @@ pub mod events;
 pub mod health;
 pub mod monitor;
 pub mod periodic;
-pub mod persist;
 pub mod profile;
 pub mod system;
 pub mod unsupervised;

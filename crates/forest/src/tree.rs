@@ -194,7 +194,14 @@ impl DecisionTree {
                 // bounds the recursion.
                 let decrease = parent_gini - w_gini;
                 if best.is_none_or(|(bd, _, _)| decrease > bd) {
-                    let threshold = 0.5 * (x[order[i]][f] + x[order[i + 1]][f]);
+                    let (lo, hi) = (x[order[i]][f], x[order[i + 1]][f]);
+                    // The midpoint of adjacent floats can round onto `hi`
+                    // (and an overflowing sum is infinite). A threshold
+                    // there sends the `hi` side left too: not the split
+                    // that was scored, and an empty child is a 0/0 leaf.
+                    // `lo` always separates the two sides.
+                    let mid = 0.5 * (lo + hi);
+                    let threshold = if (lo..hi).contains(&mid) { mid } else { lo };
                     best = Some((decrease, f, threshold));
                 }
             }
@@ -407,6 +414,29 @@ mod tests {
         let t = DecisionTree::fit(&x, &y, &TreeConfig::default(), &mut rng());
         assert_eq!(t.n_nodes(), 1);
         assert_eq!(t.predict_proba(&[9.0]), 1.0);
+    }
+
+    #[test]
+    fn split_between_adjacent_floats_separates_both_sides() {
+        let lo = 1.0 + f64::EPSILON;
+        let hi = lo.next_up();
+        // Overflowing midpoint: the sum of two large values is infinite.
+        let (big_lo, big_hi) = (1.5e308, 1.7e308);
+        assert_eq!(0.5 * (lo + hi), hi, "midpoint must round onto hi");
+        assert_eq!(0.5 * (big_lo + big_hi), f64::INFINITY);
+        for (lo, hi) in [(lo, hi), (big_lo, big_hi)] {
+            let x = vec![vec![lo], vec![hi]];
+            let y = vec![false, true];
+            let t = DecisionTree::fit(&x, &y, &TreeConfig::default(), &mut rng());
+            assert_eq!(t.predict_proba(&[lo]), 0.0);
+            assert_eq!(t.predict_proba(&[hi]), 1.0);
+            for node in t.export_nodes() {
+                match node {
+                    NodeSpec::Leaf { prob } => assert!(prob.is_finite(), "NaN leaf"),
+                    NodeSpec::Split { threshold, .. } => assert!(threshold.is_finite()),
+                }
+            }
+        }
     }
 
     #[test]

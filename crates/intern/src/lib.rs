@@ -250,15 +250,6 @@ impl Interner {
         self.inner.read().expect("interner poisoned").strings.len()
     }
 
-    /// Snapshot of every interned string in id order (id `i` is element
-    /// `i`). Re-interning the returned sequence into a fresh interner, in
-    /// order, reproduces the same id assignment — the property the model
-    /// store's interner artifact relies on for warm-starting a restored
-    /// process.
-    pub fn export(&self) -> Vec<&'static str> {
-        self.inner.read().expect("interner poisoned").strings.clone()
-    }
-
     /// Is the interner empty?
     pub fn is_empty(&self) -> bool {
         self.len() == 0
@@ -273,13 +264,6 @@ impl Default for Interner {
 
 static GLOBAL: Interner = Interner::new();
 
-/// Snapshot the process-global interner's strings in id order (see
-/// [`Interner::export`]). A restored process re-interning these, in order,
-/// before any other interning reproduces the saved id assignment.
-pub fn export_global() -> Vec<&'static str> {
-    GLOBAL.export()
-}
-
 // ---------------------------------------------------------------------------
 // Symbol
 // ---------------------------------------------------------------------------
@@ -290,7 +274,7 @@ pub fn export_global() -> Vec<&'static str> {
 ///   equality because interning is injective.
 /// * `Ord` and `Display` use the **resolved string**, so sort orders and
 ///   rendered output never depend on which insertion order assigned the
-///   ids. Serialization boundaries (`persist`, reports) therefore stay
+///   ids. Serialization boundaries (the model store, reports) therefore stay
 ///   byte-identical to the pre-intern string pipeline.
 #[derive(Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Symbol(u32);
@@ -416,23 +400,6 @@ mod tests {
         assert_eq!(a.as_str(), "devs.tplinkcloud.com");
         let c = Symbol::intern("other.example.com");
         assert_ne!(a, c);
-    }
-
-    #[test]
-    fn export_preserves_id_order() {
-        let it = Interner::new();
-        for s in ["gamma", "alpha", "beta"] {
-            it.intern(s);
-        }
-        assert_eq!(it.export(), vec!["gamma", "alpha", "beta"]);
-        // Replaying the export into a fresh interner reproduces ids.
-        let it2 = Interner::new();
-        for s in it.export() {
-            it2.intern(s);
-        }
-        assert_eq!(it2.intern("alpha").id(), it.intern("alpha").id());
-        Symbol::intern("export-probe");
-        assert!(export_global().contains(&"export-probe"));
     }
 
     #[test]

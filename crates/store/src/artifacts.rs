@@ -793,31 +793,3 @@ pub(crate) fn parse_health(artifact: &str, content: &str) -> Result<HealthExport
     }
     Ok(HealthExport { cfg, records })
 }
-
-// ---------------------------------------------------------------------------
-// interner — process-global symbol table warm start
-
-/// Render the interner snapshot (id order).
-pub(crate) fn render_interner(strings: &[&str]) -> String {
-    let mut out = String::new();
-    for s in strings {
-        out.push_str(&format!("sym|{}\n", escape(s)));
-    }
-    out
-}
-
-/// Parse [`render_interner`]'s output, re-interning every string in order.
-/// Returns the number of symbols interned.
-pub(crate) fn parse_interner(artifact: &str, content: &str) -> Result<usize, StoreError> {
-    let mut n = 0;
-    for (i, line) in content.lines().enumerate() {
-        let ln = i + 1;
-        let fields: Vec<&str> = line.split('|').collect();
-        if fields.len() != 2 || fields[0] != "sym" {
-            return Err(bad(artifact, ln, "bad symbol line"));
-        }
-        Symbol::intern(&pstr(artifact, ln, fields[1])?);
-        n += 1;
-    }
-    Ok(n)
-}

@@ -2,8 +2,8 @@
 //! every model the BehavIoT pipeline produces.
 //!
 //! A snapshot is a directory of small pipe-separated text artifacts plus a
-//! `MANIFEST` that pins the format version and, in v2, the byte length and
-//! FxHash64 content hash of every artifact. The store guarantees:
+//! `MANIFEST` that pins the format version and the byte length and FxHash64
+//! content hash of every artifact. The store guarantees:
 //!
 //! * **Atomicity** — artifact files are **content-addressed**
 //!   (`<stem>-<fxhash64>.<ext>`), so a save never overwrites a file the
@@ -21,17 +21,15 @@
 //!   deviation stream of the uninterrupted run (`tests/store_replay.rs`).
 //! * **Corruption detection, never panics** — any byte flip, insertion, or
 //!   truncation in any artifact surfaces as a typed [`StoreError`] whose
-//!   [`StoreError::artifact`] pinpoints the failing artifact (v2 manifests
+//!   [`StoreError::artifact`] pinpoints the failing artifact (manifests
 //!   store length + hash; parses are fully validated).
 //! * **O(changed-devices) checkpoints** — [`ModelStore::checkpoint`]
 //!   re-renders only the per-device artifacts whose device is in the
 //!   caller's changed set, reusing the previous manifest entries (and
 //!   on-disk files) for the rest.
 //!
-//! The store supersedes the ad-hoc TSV helpers in `behaviot::persist`
-//! (now deprecated): those covered only the periodic inventory and system
-//! traces, silently accepted duplicate records, and had no integrity
-//! metadata or atomicity story.
+//! There is one format version, [`FORMAT_VERSION`]; a manifest declaring
+//! any other version fails to load with [`StoreError::BadVersion`].
 
 #![warn(missing_docs)]
 
@@ -48,9 +46,9 @@ use std::hash::Hasher;
 use std::net::Ipv4Addr;
 use std::path::{Path, PathBuf};
 
-/// Current snapshot format version. v1 lacked the per-artifact byte length
-/// and content hash in the manifest (same artifact encodings); v2 snapshots
-/// detect any single-byte corruption before parsing.
+/// The snapshot format version, the only one this build reads or writes.
+/// Its manifest pins every artifact's byte length and content hash, so any
+/// single-byte corruption is detected before parsing.
 pub const FORMAT_VERSION: u32 = 2;
 
 const MANIFEST_FILE: &str = "MANIFEST";
@@ -84,7 +82,7 @@ pub enum StoreError {
         artifact: String,
     },
     /// An artifact's bytes disagree with the manifest's recorded length or
-    /// content hash (v2 only).
+    /// content hash.
     HashMismatch {
         /// The corrupted artifact.
         artifact: String,
@@ -169,13 +167,7 @@ fn io_err(artifact: &str, e: std::io::Error) -> StoreError {
 }
 
 /// What to persist in a snapshot. The device models are mandatory; the
-/// system model, monitor state, metrics text, and interner table are
-/// opt-in.
-///
-/// The interner is opt-in (default off in struct literals via
-/// `include_interner: false`) because the process-global symbol table grows
-/// monotonically: two otherwise-identical saves taken at different points
-/// of one process would differ in the interner artifact alone.
+/// system model, monitor state, and health checkpoint are opt-in.
 pub struct SnapshotSpec<'a> {
     /// The trained device behavior models.
     pub models: &'a BehavIoT,
@@ -186,11 +178,6 @@ pub struct SnapshotSpec<'a> {
     /// Fleet health registry checkpoint, so restored monitors resume the
     /// per-device hysteresis state instead of re-learning it.
     pub health: Option<HealthExport>,
-    /// Opaque metrics text (e.g. a JSONL metrics dump). Stored
-    /// hash-protected but never parsed.
-    pub metrics_jsonl: Option<&'a str>,
-    /// Also snapshot the process-global interner (warm-start aid).
-    pub include_interner: bool,
 }
 
 impl<'a> SnapshotSpec<'a> {
@@ -201,16 +188,12 @@ impl<'a> SnapshotSpec<'a> {
             system: None,
             monitor: None,
             health: None,
-            metrics_jsonl: None,
-            include_interner: false,
         }
     }
 }
 
 /// Everything a snapshot contained, reconstructed.
 pub struct LoadedSnapshot {
-    /// Manifest format version the snapshot was written with.
-    pub version: u32,
     /// The device behavior models.
     pub models: BehavIoT,
     /// The system model, if persisted.
@@ -221,8 +204,6 @@ pub struct LoadedSnapshot {
     pub monitor_state: Option<MonitorState>,
     /// Fleet health registry checkpoint, if persisted.
     pub health: Option<HealthExport>,
-    /// Opaque metrics text, if persisted.
-    pub metrics_jsonl: Option<String>,
 }
 
 impl LoadedSnapshot {
@@ -272,8 +253,6 @@ enum ArtifactKind {
     System,
     Monitor,
     Health,
-    Interner,
-    Metrics,
 }
 
 fn classify_artifact(name: &str) -> Option<ArtifactKind> {
@@ -284,8 +263,6 @@ fn classify_artifact(name: &str) -> Option<ArtifactKind> {
         "system" => Some(ArtifactKind::System),
         "monitor" => Some(ArtifactKind::Monitor),
         "health" => Some(ArtifactKind::Health),
-        "interner" => Some(ArtifactKind::Interner),
-        "metrics" => Some(ArtifactKind::Metrics),
         _ => {
             if let Some(ip) = name.strip_prefix("periodic@") {
                 return ip.parse().ok().map(ArtifactKind::PeriodicDevice);
@@ -304,21 +281,18 @@ fn artifact_stem_ext(name: &str) -> (&str, &str) {
     match name {
         "periodic.cfg" => ("periodic", "cfg"),
         "user.cfg" => ("user", "cfg"),
-        "metrics" => (name, "jsonl"),
         _ => (name, "tsv"),
     }
 }
 
-/// The logical artifact a store-written file name belongs to: either the
-/// current content-addressed form `<stem>-<16 hex>.<ext>` or the pre-hash
-/// fixed form `<stem>.<ext>`. `None` for anything the store would never
-/// have written itself.
+/// The logical artifact a store-written file name belongs to: the
+/// content-addressed form `<stem>-<16 hex>.<ext>`. `None` for anything the
+/// store would never write itself.
 fn file_artifact_name(file: &str) -> Option<String> {
-    let (mut stem, ext) = file.rsplit_once('.')?;
-    if let Some((s, h)) = stem.rsplit_once('-') {
-        if h.len() == 16 && h.bytes().all(|b| b.is_ascii_hexdigit()) {
-            stem = s;
-        }
+    let (stem, ext) = file.rsplit_once('.')?;
+    let (stem, hash) = stem.rsplit_once('-')?;
+    if hash.len() != 16 || !hash.bytes().all(|b| b.is_ascii_hexdigit()) {
+        return None;
     }
     let name = if ext == "cfg" {
         format!("{stem}.cfg")
@@ -342,20 +316,12 @@ impl ModelStore {
         &self.root
     }
 
-    /// Write a full v2 snapshot (every artifact re-rendered).
+    /// Write a full snapshot (every artifact re-rendered).
     pub fn save(&self, spec: &SnapshotSpec<'_>) -> Result<(), StoreError> {
-        self.write_snapshot(spec, FORMAT_VERSION, None)
+        self.write_snapshot(spec, None)
     }
 
-    /// Write a full snapshot in the *previous* (v1) manifest format — no
-    /// per-artifact length/hash. Exists so the v1→v2 migration path stays
-    /// executable and regression-tested; new code should use
-    /// [`Self::save`].
-    pub fn save_v1(&self, spec: &SnapshotSpec<'_>) -> Result<(), StoreError> {
-        self.write_snapshot(spec, 1, None)
-    }
-
-    /// Incremental v2 snapshot: per-device artifacts whose device symbol
+    /// Incremental snapshot: per-device artifacts whose device symbol
     /// (`Symbol::intern_ipv4`) is *not* in `changed` are carried over from
     /// the previous manifest without being re-rendered, re-hashed, or
     /// re-written — the save cost is O(changed devices + globals), not
@@ -366,26 +332,23 @@ impl ModelStore {
         spec: &SnapshotSpec<'_>,
         changed: &FxHashSet<Symbol>,
     ) -> Result<(), StoreError> {
-        self.write_snapshot(spec, FORMAT_VERSION, Some(changed))
+        self.write_snapshot(spec, Some(changed))
     }
 
     fn write_snapshot(
         &self,
         spec: &SnapshotSpec<'_>,
-        version: u32,
         changed: Option<&FxHashSet<Symbol>>,
     ) -> Result<(), StoreError> {
-        let mut span = behaviot_obs::span!("store.save", version = version);
+        let mut span = behaviot_obs::span!("store.save");
         let m = behaviot_obs::metrics();
         m.counter("store.saves").inc();
 
-        // Previous manifest entries, reusable only for v2→v2 checkpoints.
+        // Previous manifest entries, reusable only for checkpoints.
         let old: HashMap<String, Entry> = match changed {
             Some(_) => self
                 .read_manifest_entries()
-                .ok()
-                .filter(|(v, _)| *v == FORMAT_VERSION)
-                .map(|(_, entries)| entries.into_iter().map(|e| (e.name.clone(), e)).collect())
+                .map(|entries| entries.into_iter().map(|e| (e.name.clone(), e)).collect())
                 .unwrap_or_default(),
             None => HashMap::new(),
         };
@@ -428,16 +391,6 @@ impl ModelStore {
             entries.push(self.put("health", &body)?);
             written += 1;
         }
-        if let Some(metrics_text) = spec.metrics_jsonl {
-            entries.push(self.put("metrics", metrics_text)?);
-            written += 1;
-        }
-        if spec.include_interner {
-            let strings = behaviot_intern::export_global();
-            let body = artifacts::render_interner(&strings);
-            entries.push(self.put("interner", &body)?);
-            written += 1;
-        }
 
         // -- per-device artifacts (reused when unchanged) ----------------
         let mut periodic_by_dev: std::collections::BTreeMap<Ipv4Addr, Vec<&behaviot::PeriodicModel>> =
@@ -477,24 +430,18 @@ impl ModelStore {
         // artifact rename that the manifest now depends on.
         self.sync_dir().map_err(|e| io_err("<root>", e))?;
         entries.sort_by(|a, b| a.name.cmp(&b.name));
-        let mut manifest = format!("{MANIFEST_MAGIC}|v{version}\n");
+        let mut manifest = format!("{MANIFEST_MAGIC}|v{FORMAT_VERSION}\n");
         for e in &entries {
-            if version >= 2 {
-                manifest.push_str(&format!(
-                    "artifact|{}|{}|{:016x}|{}\n",
-                    e.name, e.file, e.hash, e.bytes
-                ));
-            } else {
-                manifest.push_str(&format!("artifact|{}|{}\n", e.name, e.file));
-            }
+            manifest.push_str(&format!(
+                "artifact|{}|{}|{:016x}|{}\n",
+                e.name, e.file, e.hash, e.bytes
+            ));
         }
-        // v2: the manifest protects the artifacts, and this line protects
-        // the manifest — without it a byte flip inside an artifact *name*
-        // (say, one digit of a device address) could redirect a hash check
-        // at intact bytes and load the wrong model silently.
-        if version >= 2 {
-            manifest.push_str(&format!("check|{:016x}\n", hash_bytes(manifest.as_bytes())));
-        }
+        // The manifest protects the artifacts, and this line protects the
+        // manifest — without it a byte flip inside an artifact *name* (say,
+        // one digit of a device address) could redirect a hash check at
+        // intact bytes and load the wrong model silently.
+        manifest.push_str(&format!("check|{:016x}\n", hash_bytes(manifest.as_bytes())));
         self.write_atomic(MANIFEST_FILE, manifest.as_bytes())
             .map_err(|e| io_err(MANIFEST_FILE, e))?;
         self.sync_dir().map_err(|e| io_err("<root>", e))?;
@@ -581,9 +528,8 @@ impl ModelStore {
         }
     }
 
-    /// Parse the manifest into (version, entries). v1 entries carry zeroed
-    /// hash/length (integrity checking is skipped for them on load).
-    fn read_manifest_entries(&self) -> Result<(u32, Vec<Entry>), StoreError> {
+    /// Parse and integrity-check the manifest into its artifact entries.
+    fn read_manifest_entries(&self) -> Result<Vec<Entry>, StoreError> {
         let raw = fs::read_to_string(self.root.join(MANIFEST_FILE))
             .map_err(|e| io_err(MANIFEST_FILE, e))?;
         let Some(header) = raw.lines().next() else {
@@ -592,7 +538,7 @@ impl ModelStore {
                 reason: "empty manifest".to_string(),
             });
         };
-        let version = match header.split_once('|') {
+        match header.split_once('|') {
             Some((MANIFEST_MAGIC, v)) => {
                 let n: u32 = v
                     .strip_prefix('v')
@@ -601,10 +547,9 @@ impl ModelStore {
                         line: 1,
                         reason: "bad version field".to_string(),
                     })?;
-                if n == 0 || n > FORMAT_VERSION {
+                if n != FORMAT_VERSION {
                     return Err(StoreError::BadVersion(n));
                 }
-                n
             }
             _ => {
                 return Err(StoreError::BadManifest {
@@ -612,42 +557,36 @@ impl ModelStore {
                     reason: "bad magic".to_string(),
                 })
             }
-        };
-        // v2 manifests end with a `check|<hash>` line over everything
+        }
+        // The manifest ends with a `check|<hash>` line over everything
         // before it: the artifact hashes protect the artifact bytes, this
         // protects the manifest itself (artifact names included).
-        let body: &str = if version >= 2 {
-            let n_lines = raw.lines().count();
-            let bad_check = || StoreError::BadManifest {
-                line: n_lines,
-                reason: "missing or malformed integrity check line".to_string(),
-            };
-            let trimmed = raw.strip_suffix('\n').unwrap_or(&raw);
-            let (prefix, last) = trimmed
-                .rfind('\n')
-                .map(|p| (&raw[..p + 1], &trimmed[p + 1..]))
-                .ok_or_else(bad_check)?;
-            let expect = last
-                .strip_prefix("check|")
-                .and_then(|h| u64::from_str_radix(h, 16).ok())
-                .ok_or_else(bad_check)?;
-            if hash_bytes(prefix.as_bytes()) != expect {
-                return Err(StoreError::BadManifest {
-                    line: n_lines,
-                    reason: "manifest failed its integrity check".to_string(),
-                });
-            }
-            prefix
-        } else {
-            &raw
+        let n_lines = raw.lines().count();
+        let bad_check = || StoreError::BadManifest {
+            line: n_lines,
+            reason: "missing or malformed integrity check line".to_string(),
         };
+        let trimmed = raw.strip_suffix('\n').unwrap_or(&raw);
+        let (body, last) = trimmed
+            .rfind('\n')
+            .map(|p| (&raw[..p + 1], &trimmed[p + 1..]))
+            .ok_or_else(bad_check)?;
+        let expect = last
+            .strip_prefix("check|")
+            .and_then(|h| u64::from_str_radix(h, 16).ok())
+            .ok_or_else(bad_check)?;
+        if hash_bytes(body.as_bytes()) != expect {
+            return Err(StoreError::BadManifest {
+                line: n_lines,
+                reason: "manifest failed its integrity check".to_string(),
+            });
+        }
         let mut entries = Vec::new();
         let mut seen: std::collections::HashSet<String> = std::collections::HashSet::new();
         for (i, line) in body.lines().enumerate().skip(1) {
             let ln = i + 1;
             let fields: Vec<&str> = line.split('|').collect();
-            let want = if version >= 2 { 5 } else { 3 };
-            if fields.len() != want || fields[0] != "artifact" {
+            if fields.len() != 5 || fields[0] != "artifact" {
                 return Err(StoreError::BadManifest {
                     line: ln,
                     reason: "bad artifact line".to_string(),
@@ -667,8 +606,8 @@ impl ModelStore {
                 });
             }
             // The file field must be a plain name inside the store root —
-            // a mangled (v1: unchecked) manifest must not be able to read
-            // files elsewhere on disk or shadow the manifest itself.
+            // a mangled manifest must not be able to read files elsewhere
+            // on disk or shadow the manifest itself.
             let file = fields[2];
             if file.is_empty()
                 || file == MANIFEST_FILE
@@ -681,24 +620,14 @@ impl ModelStore {
                     reason: format!("bad artifact file name {file}"),
                 });
             }
-            let (hash, bytes) = if version >= 2 {
-                let hash = u64::from_str_radix(fields[3], 16).map_err(|_| {
-                    StoreError::BadManifest {
-                        line: ln,
-                        reason: "bad content hash".to_string(),
-                    }
-                })?;
-                let bytes: u64 =
-                    fields[4]
-                        .parse()
-                        .map_err(|_| StoreError::BadManifest {
-                            line: ln,
-                            reason: "bad byte count".to_string(),
-                        })?;
-                (hash, bytes)
-            } else {
-                (0, 0)
-            };
+            let hash = u64::from_str_radix(fields[3], 16).map_err(|_| StoreError::BadManifest {
+                line: ln,
+                reason: "bad content hash".to_string(),
+            })?;
+            let bytes: u64 = fields[4].parse().map_err(|_| StoreError::BadManifest {
+                line: ln,
+                reason: "bad byte count".to_string(),
+            })?;
             entries.push(Entry {
                 name,
                 file: fields[2].to_string(),
@@ -706,7 +635,7 @@ impl ModelStore {
                 bytes,
             });
         }
-        Ok((version, entries))
+        Ok(entries)
     }
 
     /// Load and validate the snapshot. Every failure mode — missing files,
@@ -715,8 +644,7 @@ impl ModelStore {
     pub fn load(&self) -> Result<LoadedSnapshot, StoreError> {
         let mut span = behaviot_obs::span!("store.load");
         behaviot_obs::metrics().counter("store.loads").inc();
-        let (version, entries) = self.read_manifest_entries()?;
-        span.record("version", version as usize);
+        let entries = self.read_manifest_entries()?;
         span.record("artifacts", entries.len());
 
         // Read + integrity-check every artifact up front: a load either
@@ -724,7 +652,7 @@ impl ModelStore {
         let mut contents: HashMap<String, String> = HashMap::new();
         for e in &entries {
             let raw = fs::read(self.root.join(&e.file)).map_err(|err| io_err(&e.name, err))?;
-            if version >= 2 && (raw.len() as u64 != e.bytes || hash_bytes(&raw) != e.hash) {
+            if raw.len() as u64 != e.bytes || hash_bytes(&raw) != e.hash {
                 return Err(StoreError::HashMismatch {
                     artifact: e.name.clone(),
                 });
@@ -742,12 +670,6 @@ impl ModelStore {
                     artifact: required.to_string(),
                 });
             }
-        }
-
-        // Interner warm start first, so symbol ids in a fresh process are
-        // assigned in snapshot order before any model parsing interns.
-        if let Some(body) = contents.get("interner") {
-            artifacts::parse_interner("interner", body)?;
         }
 
         let (pcfg, coverage) = artifacts::parse_periodic_cfg("periodic.cfg", &contents["periodic.cfg"])?;
@@ -801,7 +723,6 @@ impl ModelStore {
         };
 
         Ok(LoadedSnapshot {
-            version,
             models: BehavIoT {
                 periodic,
                 user,
@@ -811,7 +732,6 @@ impl ModelStore {
             monitor_cfg,
             monitor_state,
             health,
-            metrics_jsonl: contents.remove("metrics"),
         })
     }
 }

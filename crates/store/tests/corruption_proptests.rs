@@ -39,7 +39,7 @@ fn temp_dir() -> PathBuf {
 /// Small two-device fixture built straight through the `from_parts` APIs
 /// (no training) so each proptest case is cheap. Every artifact kind is
 /// present: periodic + user device files, all three global configs, the
-/// system model, monitor state, and an opaque metrics blob.
+/// system model, monitor state, and the health checkpoint.
 fn fixture() -> (BehavIoT, SystemModel) {
     let dim = 3;
     let mk_periodic = |ip: Ipv4Addr, dest: &str, n_cores: usize| {
@@ -131,8 +131,6 @@ fn save_fixture(store: &ModelStore, models: &BehavIoT, system: &SystemModel) {
         system: Some(system),
         monitor: Some((&cfg, state)),
         health: Some(health),
-        metrics_jsonl: Some("{\"counter\":{\"store.saves\":1}}\n"),
-        include_interner: false,
     };
     store.save(&spec).unwrap();
 }
@@ -345,21 +343,64 @@ fn degenerate_manifests_error() {
     fs::remove_dir_all(&dir).unwrap();
 }
 
-/// A future format version is refused up front.
+/// Any format version other than the current one — the retired v1 or a
+/// future one — is refused up front.
 #[test]
 fn future_version_refused() {
+    for version in [99, 1] {
+        let (models, system) = fixture();
+        let dir = temp_dir();
+        let store = ModelStore::open(&dir).unwrap();
+        save_fixture(&store, &models, &system);
+
+        let manifest = fs::read_to_string(dir.join("MANIFEST")).unwrap();
+        let bumped = manifest.replacen(
+            "behaviot-store|v2",
+            &format!("behaviot-store|v{version}"),
+            1,
+        );
+        fs::write(dir.join("MANIFEST"), bumped).unwrap();
+        assert_eq!(
+            store.load().map(|_| ()).unwrap_err(),
+            StoreError::BadVersion(version)
+        );
+
+        fs::remove_dir_all(&dir).unwrap();
+    }
+}
+
+/// The post-commit orphan sweep deletes only files in the store's own
+/// content-addressed naming scheme. Foreign files survive a save, among
+/// them a name in the retired pre-hash form (`names.tsv`) and a `.jsonl`
+/// file no artifact uses any more — while a superseded content-addressed
+/// artifact and a stale staging file are removed.
+#[test]
+fn orphan_sweep_leaves_foreign_files_alone() {
     let (models, system) = fixture();
     let dir = temp_dir();
     let store = ModelStore::open(&dir).unwrap();
     save_fixture(&store, &models, &system);
 
-    let manifest = fs::read_to_string(dir.join("MANIFEST")).unwrap();
-    let bumped = manifest.replacen("behaviot-store|v2", "behaviot-store|v99", 1);
-    fs::write(dir.join("MANIFEST"), bumped).unwrap();
-    assert_eq!(
-        store.load().map(|_| ()).unwrap_err(),
-        StoreError::BadVersion(99)
-    );
+    let foreign = ["names.tsv", "notes.jsonl", "periodic.cfg", "README"];
+    for name in foreign {
+        fs::write(dir.join(name), b"not the store's\n").unwrap();
+    }
+    let stale = ["names-0123456789abcdef.tsv", "system-0123456789abcdef.tsv.tmp"];
+    for name in stale {
+        fs::write(dir.join(name), b"superseded\n").unwrap();
+    }
+    save_fixture(&store, &models, &system);
+    store.load().expect("snapshot must still load");
 
+    for name in foreign {
+        assert_eq!(
+            fs::read(dir.join(name)).unwrap(),
+            b"not the store's\n",
+            "sweep touched foreign file {name}"
+        );
+    }
+    for name in stale {
+        assert!(!dir.join(name).exists(), "sweep left orphan {name}");
+    }
     fs::remove_dir_all(&dir).unwrap();
 }

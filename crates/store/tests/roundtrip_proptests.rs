@@ -161,7 +161,7 @@ proptest! {
 
     /// save → load → save is byte-equal for arbitrary valid model sets:
     /// varying device counts (including zero models), cluster dimensions
-    /// (21 included), forest shapes, optional system/monitor/metrics
+    /// (21 included), forest shapes, optional system/monitor/health
     /// artifacts, and full-spectrum float values.
     #[test]
     fn snapshot_roundtrip_byte_equal(
@@ -171,7 +171,6 @@ proptest! {
         with_system in any::<bool>(),
         with_monitor in any::<bool>(),
         with_health in any::<bool>(),
-        with_metrics in any::<bool>(),
     ) {
         // dim 21 (the paper's feature count) every 4th case.
         let dim = if dim_sel == 0 { 21 } else { dim_sel * 3 };
@@ -235,8 +234,6 @@ proptest! {
             system: with_system.then_some(&system),
             monitor: with_monitor.then_some((&cfg, state)),
             health: with_health.then_some(health),
-            metrics_jsonl: with_metrics.then_some("{\"counter\":{\"x\":1}}\n"),
-            include_interner: false,
         };
 
         let dir_a = temp_dir("a");
@@ -247,7 +244,6 @@ proptest! {
         prop_assert_eq!(loaded.system.is_some(), with_system);
         prop_assert_eq!(loaded.monitor_state.is_some(), with_monitor);
         prop_assert_eq!(loaded.health.is_some(), with_health);
-        prop_assert_eq!(loaded.metrics_jsonl.is_some(), with_metrics);
 
         let dir_b = temp_dir("b");
         let store_b = ModelStore::open(&dir_b).unwrap();
@@ -256,8 +252,6 @@ proptest! {
             system: loaded.system.as_ref(),
             monitor: loaded.monitor_cfg.as_ref().map(|c| (c, loaded.monitor_state.clone().unwrap())),
             health: loaded.health.clone(),
-            metrics_jsonl: loaded.metrics_jsonl.as_deref(),
-            include_interner: false,
         };
         store_b.save(&respec).unwrap();
         prop_assert_eq!(snapshot_bytes(&dir_a), snapshot_bytes(&dir_b));

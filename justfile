@@ -53,7 +53,7 @@ bench-monitor:
     scripts/bench_monitor.sh
 
 # Durable-store contract suite: kill-and-restore replay invariance, byte
-# fixed point, v1 migration, plus the round-trip and corruption proptests
+# fixed point, plus the round-trip and corruption proptests
 store-replay:
     cargo test --release -q -p behaviot-harness --test store_replay
     cargo test --release -q -p behaviot-store --test roundtrip_proptests

@@ -10,6 +10,9 @@ cd "$(dirname "$0")/.."
 echo "==> cargo build --release"
 cargo build --release --all-targets
 
+echo "==> perfbench (outside the workspace) still builds against the library APIs"
+cargo check --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> cargo test (full suite)"
 cargo test --release -q
 
@@ -38,7 +41,7 @@ cargo test --release -q -p behaviot --test monitor_alloc
 echo "==> monitor parity: symbol-native serving path matches the String pipeline byte-for-byte"
 cargo test --release -q -p behaviot-harness --test monitor_parity
 
-echo "==> store: replay-invariant contract suite (kill/restore, fixed point, v1 migration)"
+echo "==> store: replay-invariant contract suite (kill/restore, fixed point)"
 cargo test --release -q -p behaviot-harness --test store_replay
 
 echo "==> store: corrupt-load smoke (byte-flip/insert/truncate proptests never panic)"
@@ -144,7 +147,7 @@ cargo clippy --release -q \
   -p behaviot-par -p behaviot-dsp -p behaviot-forest -p behaviot-flows \
   -p behaviot -p behaviot-bench -p behaviot-harness \
   -p behaviot-intern -p behaviot-net -p behaviot-pfsm -p behaviot-sim \
-  -p behaviot-obs -p behaviot-store \
+  -p behaviot-obs -p behaviot-store -p behaviot-cluster \
   --all-targets -- -D warnings
 
 echo "==> bench smoke: ingest paths must agree (tiny sample budget)"

@@ -6,8 +6,17 @@ use behaviot::{BehavIoT, DeviationKind, Monitor, MonitorConfig, TrainConfig, Tra
 use behaviot_flows::{assemble_flows, FlowConfig};
 use behaviot_sim::{self as sim, Catalog, TruthLabel, UncontrolledConfig};
 use std::collections::HashMap;
+use std::sync::OnceLock;
 
+/// Every case starts from the same trained models: train them once per
+/// test binary and hand each test a fresh monitor over a copy.
 fn trained_monitor(catalog: &Catalog) -> Monitor {
+    static TRAINED: OnceLock<(BehavIoT, SystemModel)> = OnceLock::new();
+    let (models, system) = TRAINED.get_or_init(|| train(catalog));
+    Monitor::new(models.clone(), system.clone(), MonitorConfig::default())
+}
+
+fn train(catalog: &Catalog) -> (BehavIoT, SystemModel) {
     let fc = FlowConfig::default();
     let idle = sim::idle_dataset(catalog, 31, 0.75);
     let activity = sim::activity_dataset(catalog, 32, 6);
@@ -34,7 +43,7 @@ fn trained_monitor(catalog: &Catalog) -> Monitor {
     let events = models.infer_events(&routine_flows);
     let traces = traces_from_events_syms(&events, &names, 60.0);
     let system = SystemModel::from_traces(&traces, &SystemModelConfig::default());
-    Monitor::new(models, system, MonitorConfig::default())
+    (models, system)
 }
 
 fn run_day(

@@ -180,8 +180,6 @@ fn save_monitor(store: &ModelStore, monitor: &Monitor) {
         system: Some(monitor.system()),
         monitor: Some((monitor.config(), monitor.export_state())),
         health: monitor.health().map(|h| h.export()),
-        metrics_jsonl: None,
-        include_interner: false,
     };
     store.save(&spec).unwrap();
 }

@@ -15,7 +15,6 @@
 //!   previously committed snapshot loadable and byte-identical (artifact
 //!   files are content-addressed; the manifest rename is the sole commit
 //!   point),
-//! * a v1 (previous format) snapshot migrates losslessly to v2,
 //! * `checkpoint` genuinely skips unchanged devices (proved behaviorally:
 //!   corrupt an unchanged device's file on disk, checkpoint, and the stale
 //!   bytes — and stale manifest hash — are still there).
@@ -196,8 +195,6 @@ fn save_monitor(store: &ModelStore, monitor: &Monitor) {
         system: Some(monitor.system()),
         monitor: Some((monitor.config(), monitor.export_state())),
         health: monitor.health().map(|h| h.export()),
-        metrics_jsonl: None,
-        include_interner: false,
     };
     store.save(&spec).unwrap();
 }
@@ -359,56 +356,6 @@ fn mid_save_kill_leaves_previous_snapshot_loadable() {
     for d in [dir, pristine_a, side] {
         fs::remove_dir_all(&d).unwrap();
     }
-}
-
-/// A previous-format (v1, no per-artifact hashes) snapshot loads, reports
-/// its version, and migrates losslessly: the migrated v2 snapshot drives
-/// the exact same deviation stream the original models would.
-#[test]
-fn v1_snapshot_migrates_losslessly() {
-    let (models, system) = trained(Parallelism::Off);
-    let mut original = Monitor::new(models.clone(), system.clone(), MonitorConfig::default());
-    let ref_stream = run_windows(&mut original, 0..N_WINDOWS);
-
-    let dir_v1 = temp_store("migrate-v1");
-    let store_v1 = ModelStore::open(&dir_v1).unwrap();
-    let spec = SnapshotSpec {
-        models: &models,
-        system: Some(&system),
-        monitor: Some((&MonitorConfig::default(), Default::default())),
-        health: None,
-        metrics_jsonl: None,
-        include_interner: false,
-    };
-    store_v1.save_v1(&spec).unwrap();
-
-    let loaded = store_v1.load().unwrap();
-    assert_eq!(loaded.version, 1, "v1 snapshot must report version 1");
-
-    // Migrate: re-save what was loaded as v2, then run from the migrated
-    // snapshot.
-    let dir_v2 = temp_store("migrate-v2");
-    let store_v2 = ModelStore::open(&dir_v2).unwrap();
-    let migrated_spec = SnapshotSpec {
-        models: &loaded.models,
-        system: loaded.system.as_ref(),
-        monitor: Some((
-            loaded.monitor_cfg.as_ref().unwrap(),
-            loaded.monitor_state.clone().unwrap(),
-        )),
-        health: None,
-        metrics_jsonl: None,
-        include_interner: false,
-    };
-    store_v2.save(&migrated_spec).unwrap();
-
-    let migrated = store_v2.load().unwrap();
-    assert_eq!(migrated.version, behaviot_store::FORMAT_VERSION);
-    let mut replayed = migrated.into_monitor().unwrap();
-    assert_eq!(run_windows(&mut replayed, 0..N_WINDOWS), ref_stream);
-
-    fs::remove_dir_all(&dir_v1).unwrap();
-    fs::remove_dir_all(&dir_v2).unwrap();
 }
 
 /// `checkpoint` must be O(changed devices): artifacts of devices outside
