@@ -4,22 +4,32 @@
 //! `PcapReader::read_all` + `parse_frame`, aborting on the first malformed
 //! record. Real gateway captures are hostile — truncated records, mangled
 //! headers, duplicated and reordered packets, clock steps. This module is
-//! the hardened front door: it reads through a [`behaviot_net::pcap::PcapReader`]
-//! in recovery mode, gates each record through
+//! the hardened front door: it scans the capture with a
+//! [`behaviot_net::pcap::PcapScan`] (the recovery-mode reader over bytes in
+//! memory), gates each record through
 //!
 //! 1. a **backwards-clock-skew gate** (records far behind the accepted
 //!    high-water mark are dropped; the high-water mark never advances on a
 //!    dropped record, so one spurious far-future record cannot poison the
 //!    gate either),
 //! 2. a bounded **duplicate window** (capture setups with port mirroring
-//!    duplicate records back-to-back; an exact duplicate within the window
-//!    is dropped),
+//!    duplicate records back-to-back; a record whose timestamp bits and
+//!    frame bytes both equal those of one of the last `dedup_window`
+//!    accepted records is dropped — an exact comparison, so two different
+//!    frames are never mistaken for each other),
 //! 3. **frame classification** ([`classify_frame`]): well-formed IPv4
 //!    TCP/UDP frames become pipeline packets and contribute DNS/SNI naming,
 //!    non-IP chatter is skipped silently, corrupt frames are counted,
 //!
 //! and accounts every decision in an [`IngestReport`]. On clean input the
 //! report is all-zero and the result is identical to the strict path.
+//!
+//! Frames are never copied: each one borrows the caller's buffer from the
+//! scan through the duplicate window to [`classify_frame`], whose TCP and
+//! UDP checksum checks sum around the checksum field rather than over a
+//! zeroed copy (the acceptance rule is unchanged). Recovery therefore works
+//! on a capture held in memory; a capture on disk is read whole first, and
+//! an I/O error surfaces there, before any record is scanned.
 //!
 //! Surviving packets are stably sorted by timestamp before being returned,
 //! so bounded reordering upstream cannot change flow assembly downstream —
@@ -28,9 +38,8 @@
 
 use crate::domain::DomainTable;
 use crate::packet::{classify_frame, FrameClass, GatewayPacket};
-use behaviot_net::pcap::PcapReader;
+use behaviot_net::pcap::PcapScan;
 use behaviot_net::{IngestCategory, IngestReport, NetError, Result};
-use std::io::Read;
 
 /// Tuning knobs for the lossy ingest path.
 #[derive(Debug, Clone)]
@@ -39,7 +48,8 @@ pub struct IngestOptions {
     /// the accepted high-water mark (backwards clock jump). Reordering
     /// below the threshold is absorbed (and counted as `reordered`).
     pub skew_tolerance: f64,
-    /// How many recent records the exact-duplicate window remembers.
+    /// How many recently accepted records the exact-duplicate window
+    /// remembers (0 disables duplicate dropping).
     pub dedup_window: usize,
     /// Error budget: fail with [`NetError::BudgetExceeded`] when more than
     /// this fraction of records is dropped. `None` disables the check.
@@ -70,46 +80,25 @@ pub struct Ingested {
     pub records_seen: u64,
 }
 
-/// FNV-1a 64-bit over a frame — the duplicate-window fingerprint.
-fn fnv64(data: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in data {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-/// Identity of a record for exact-duplicate detection: timestamp bits,
-/// frame length, and a content fingerprint.
-#[derive(Clone, Copy, PartialEq, Eq)]
-struct RecordId {
-    ts_bits: u64,
-    len: usize,
-    hash: u64,
-}
-
 /// Ingest a complete pcap byte buffer through the lossy-tolerant path.
+///
+/// Records are scanned in place ([`PcapScan`]): every frame is read where
+/// it lies in `bytes`, from the reader through the duplicate window to
+/// [`classify_frame`], and never copied.
 pub fn ingest_pcap_bytes(bytes: &[u8], opts: &IngestOptions) -> Result<Ingested> {
-    let reader = PcapReader::new_recovering(bytes)?;
-    ingest_pcap_reader(reader, opts)
-}
-
-/// Ingest from an already-open recovery-mode [`PcapReader`]. (A strict-mode
-/// reader works too, but then a malformed record aborts the read — the
-/// caller has opted out of recovery.)
-pub fn ingest_pcap_reader<R: Read>(mut reader: PcapReader<R>, opts: &IngestOptions) -> Result<Ingested> {
+    let mut scan = PcapScan::new(bytes)?;
     let mut span = behaviot_obs::span!("ingest.pcap");
     let mut report = IngestReport::new();
     let mut packets: Vec<GatewayPacket> = Vec::new();
     let mut domains = DomainTable::new();
-    let mut window: Vec<RecordId> = Vec::with_capacity(opts.dedup_window);
+    // `(timestamp bits, frame)` of the last `dedup_window` accepted records.
+    let mut window: Vec<(u64, &[u8])> = Vec::with_capacity(opts.dedup_window);
     let mut window_next = 0usize;
     let mut highwater: Option<f64> = None;
     let mut prev_ts: Option<f64> = None;
     let mut yielded: u64 = 0;
 
-    while let Some(rec) = reader.next_record_borrowed()? {
+    for rec in &mut scan {
         let index = yielded;
         yielded += 1;
 
@@ -128,12 +117,9 @@ pub fn ingest_pcap_reader<R: Read>(mut reader: PcapReader<R>, opts: &IngestOptio
             }
         }
 
-        // 2. Bounded exact-duplicate window.
-        let id = RecordId {
-            ts_bits: rec.ts.to_bits(),
-            len: rec.data.len(),
-            hash: fnv64(rec.data),
-        };
+        // 2. Bounded exact-duplicate window: same timestamp bits and the
+        // same frame bytes (slice equality compares lengths first).
+        let id = (rec.ts.to_bits(), rec.data);
         if opts.dedup_window > 0 {
             if window.contains(&id) {
                 report.note(
@@ -187,7 +173,7 @@ pub fn ingest_pcap_reader<R: Read>(mut reader: PcapReader<R>, opts: &IngestOptio
 
     // Fold in what the reader itself skipped (bad headers, resyncs,
     // truncated tail).
-    let reader_report = reader.take_report();
+    let reader_report = scan.take_report();
     let records_seen = yielded
         + reader_report.bad_record_headers
         + reader_report.truncated_tail;
@@ -294,6 +280,67 @@ mod tests {
         assert_eq!(ing.packets.len(), 6);
         assert_eq!(ing.report.duplicates, 1);
         assert_eq!(ing.report.dropped_records(), 1);
+    }
+
+    /// Ingest `(ts, frame)` records written in order.
+    fn ingest_records(records: &[(f64, &[u8])], opts: &IngestOptions) -> Ingested {
+        let mut w = PcapWriter::new(Vec::new()).unwrap();
+        for (ts, data) in records {
+            w.write_record(&PcapRecord {
+                ts: *ts,
+                data: data.to_vec(),
+            })
+            .unwrap();
+        }
+        ingest_pcap_bytes(&w.finish().unwrap(), opts).unwrap()
+    }
+
+    #[test]
+    fn same_timestamp_and_length_with_different_bytes_is_kept() {
+        let (a, b) = (tcp_frame(1), tcp_frame(2));
+        assert_eq!(a.len(), b.len());
+        assert_ne!(a, b);
+        let ing = ingest_records(&[(100.0, &a), (100.0, &b)], &IngestOptions::default());
+        assert_eq!(ing.packets.len(), 2);
+        assert!(ing.report.is_clean(), "{}", ing.report);
+    }
+
+    #[test]
+    fn repeat_dropped_only_while_original_is_in_the_window() {
+        let opts = IngestOptions {
+            dedup_window: 3,
+            ..IngestOptions::default()
+        };
+        let f: Vec<Vec<u8>> = (0..4).map(tcp_frame).collect();
+        let [a, b, c, d]: [(f64, &[u8]); 4] =
+            std::array::from_fn(|i| (100.0 + i as f64, &f[i][..]));
+
+        // The original is among the last three accepted records.
+        let ing = ingest_records(&[a, b, c, a], &opts);
+        assert_eq!((ing.packets.len(), ing.report.duplicates), (3, 1));
+
+        // A dropped repeat is not accepted, so it does not push the
+        // original out of the window.
+        let ing = ingest_records(&[a, b, c, c, a], &opts);
+        assert_eq!((ing.packets.len(), ing.report.duplicates), (3, 2));
+
+        // Three newer records were accepted: the repeat is kept (and
+        // counted as reordered, being older than its predecessor).
+        let ing = ingest_records(&[a, b, c, d, a], &opts);
+        assert_eq!((ing.packets.len(), ing.report.duplicates), (5, 0));
+        assert_eq!(ing.report.reordered, 1);
+    }
+
+    #[test]
+    fn zero_dedup_window_keeps_every_repeat() {
+        let opts = IngestOptions {
+            dedup_window: 0,
+            ..IngestOptions::default()
+        };
+        let a = tcp_frame(7);
+        let ing = ingest_records(&[(100.0, &a), (100.0, &a), (100.0, &a)], &opts);
+        assert_eq!(ing.packets.len(), 3);
+        assert!(ing.report.is_clean(), "{}", ing.report);
     }
 
     #[test]

@@ -108,6 +108,14 @@ fn parse_name(bytes: &[u8], mut pos: usize) -> Result<(String, usize)> {
                 got: bytes.len(),
             })? as usize;
             let target = ((len & 0x3f) << 8) | b2;
+            // Every pointer must point strictly backwards, to bytes before
+            // itself; this also rules out pointer loops.
+            if target >= pos {
+                return Err(NetError::Invalid {
+                    what: "dns name",
+                    reason: "forward pointer",
+                });
+            }
             if !jumped {
                 end_pos = pos + 2;
                 jumped = true;
@@ -116,13 +124,7 @@ fn parse_name(bytes: &[u8], mut pos: usize) -> Result<(String, usize)> {
             if hops > 16 {
                 return Err(NetError::Invalid {
                     what: "dns name",
-                    reason: "pointer loop",
-                });
-            }
-            if target >= pos && !jumped {
-                return Err(NetError::Invalid {
-                    what: "dns name",
-                    reason: "forward pointer",
+                    reason: "too many compression pointers",
                 });
             }
             pos = target;
@@ -277,6 +279,51 @@ mod tests {
         bytes.extend_from_slice(&[0xc0, 0x0c]); // pointer to offset 12 (itself)
         bytes.extend_from_slice(&[0, 1, 0, 1]);
         assert!(matches!(parse(&bytes), Err(NetError::Invalid { .. })));
+    }
+
+    #[test]
+    fn forward_pointer_in_answer_name_rejected() {
+        // The answer's owner name points past itself, at a name appended
+        // after the record.
+        let mut bytes = build_response(3, "a.io", &[Ipv4Addr::new(1, 2, 3, 4)], 60).unwrap();
+        let at = bytes.windows(2).position(|w| w == [0xc0, 0x0c]).unwrap();
+        let ahead = 0xc000 | bytes.len() as u16;
+        bytes[at..at + 2].copy_from_slice(&ahead.to_be_bytes());
+        bytes.extend_from_slice(b"\x04evil\x02io\x00");
+        assert!(matches!(
+            parse(&bytes),
+            Err(NetError::Invalid {
+                reason: "forward pointer",
+                ..
+            })
+        ));
+        // Pointing back at the question name, the same message parses.
+        bytes[at..at + 2].copy_from_slice(&0xc00cu16.to_be_bytes());
+        assert_eq!(parse(&bytes).unwrap().answers[0].name, "a.io");
+    }
+
+    #[test]
+    fn backward_pointer_chain_is_capped() {
+        // A name of 17 pointers, each to the one before it, ending in the
+        // root label at offset 12: every hop points backwards, and the
+        // 17th exceeds the cap.
+        let mut bytes = vec![0u8; 12];
+        bytes[5] = 1; // QDCOUNT = 1
+        bytes.push(0);
+        for i in 0..17u16 {
+            let prev = if i == 0 { 12 } else { 13 + 2 * (i - 1) };
+            bytes.extend_from_slice(&(0xc000 | prev).to_be_bytes());
+        }
+        let start = bytes.len() - 2;
+        bytes.extend_from_slice(&[0, 1, 0, 1]);
+        assert_eq!(parse_name(&bytes, 13).unwrap().0, "");
+        assert!(matches!(
+            parse_name(&bytes, start),
+            Err(NetError::Invalid {
+                reason: "too many compression pointers",
+                ..
+            })
+        ));
     }
 
     #[test]

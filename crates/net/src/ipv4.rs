@@ -33,20 +33,41 @@ impl Ipv4Packet<'_> {
     }
 }
 
+/// Add `data`, read as big-endian 16-bit words (an odd last byte padded
+/// with zero), to the unfolded one's-complement sum `acc` (RFC 1071). The
+/// checksum routines of this crate all sum through here and fold once at
+/// the end ([`fold`]).
+///
+/// Four bytes are added at a time: the big-endian `u32` of two words is
+/// `hi·2¹⁶ + lo ≡ hi + lo (mod 0xffff)`, and [`fold`] depends only on the
+/// sum modulo 0xffff and on whether it is zero, so the result equals the
+/// word-by-word sum. Chaining calls keeps the word pairing as long as every
+/// slice but the last has even length. The `u64` cannot overflow below
+/// 2³² four-byte steps (16 GiB).
+fn sum_words(mut acc: u64, data: &[u8]) -> u64 {
+    let mut quads = data.chunks_exact(4);
+    for q in &mut quads {
+        acc += u64::from(u32::from_be_bytes([q[0], q[1], q[2], q[3]]));
+    }
+    acc + match *quads.remainder() {
+        [a, b, c] => u64::from(u16::from_be_bytes([a, b])) + u64::from(u16::from_be_bytes([c, 0])),
+        [a, b] => u64::from(u16::from_be_bytes([a, b])),
+        [a] => u64::from(u16::from_be_bytes([a, 0])),
+        _ => 0,
+    }
+}
+
+/// Fold a wide one's-complement sum into 16 bits (end-around carry).
+fn fold(mut acc: u64) -> u16 {
+    while acc > 0xffff {
+        acc = (acc & 0xffff) + (acc >> 16);
+    }
+    acc as u16
+}
+
 /// Internet checksum (RFC 1071) over `data`.
 pub fn checksum(data: &[u8]) -> u16 {
-    let mut sum = 0u32;
-    let mut chunks = data.chunks_exact(2);
-    for c in &mut chunks {
-        sum += u32::from(u16::from_be_bytes([c[0], c[1]]));
-    }
-    if let [last] = chunks.remainder() {
-        sum += u32::from(u16::from_be_bytes([*last, 0]));
-    }
-    while sum > 0xffff {
-        sum = (sum & 0xffff) + (sum >> 16);
-    }
-    !(sum as u16)
+    !fold(sum_words(0, data))
 }
 
 /// Encode an IPv4 packet (no options, DF set, TTL 64) around `payload`.
@@ -127,41 +148,33 @@ pub fn parse(bytes: &[u8]) -> Result<Ipv4Packet<'_>> {
 }
 
 /// Pseudo-header checksum seed for TCP/UDP checksums over IPv4.
-pub(crate) fn pseudo_header_sum(src: Ipv4Addr, dst: Ipv4Addr, protocol: u8, len: u16) -> u32 {
-    let s = src.octets();
-    let d = dst.octets();
-    u32::from(u16::from_be_bytes([s[0], s[1]]))
-        + u32::from(u16::from_be_bytes([s[2], s[3]]))
-        + u32::from(u16::from_be_bytes([d[0], d[1]]))
-        + u32::from(u16::from_be_bytes([d[2], d[3]]))
-        + u32::from(protocol)
-        + u32::from(len)
+fn pseudo_header_sum(src: Ipv4Addr, dst: Ipv4Addr, protocol: u8, len: u16) -> u64 {
+    let acc = sum_words(u64::from(protocol) + u64::from(len), &src.octets());
+    sum_words(acc, &dst.octets())
 }
 
-/// Finish a transport checksum that includes the IPv4 pseudo-header.
+/// The transport checksum of `segment`, including the IPv4 pseudo-header,
+/// computed as if its 2-byte checksum field at `field` held zero. The sum
+/// runs around the field, so verifying a received segment needs no zeroed
+/// copy. `field` must be even (TCP 16, UDP 6), so that the words after it
+/// pair up as in the whole segment, and `field + 2 <= segment.len()`.
 pub(crate) fn transport_checksum(
     src: Ipv4Addr,
     dst: Ipv4Addr,
     protocol: u8,
     segment: &[u8],
+    field: usize,
 ) -> u16 {
-    let mut sum = pseudo_header_sum(src, dst, protocol, segment.len() as u16);
-    let mut chunks = segment.chunks_exact(2);
-    for c in &mut chunks {
-        sum += u32::from(u16::from_be_bytes([c[0], c[1]]));
-    }
-    if let [last] = chunks.remainder() {
-        sum += u32::from(u16::from_be_bytes([*last, 0]));
-    }
-    while sum > 0xffff {
-        sum = (sum & 0xffff) + (sum >> 16);
-    }
-    let ck = !(sum as u16);
-    // Per RFC 768 a computed zero UDP checksum is transmitted as all-ones.
-    if ck == 0 {
-        0xffff
-    } else {
-        ck
+    debug_assert!(
+        field.is_multiple_of(2),
+        "checksum field at odd offset {field}"
+    );
+    let acc = pseudo_header_sum(src, dst, protocol, segment.len() as u16);
+    let acc = sum_words(sum_words(acc, &segment[..field]), &segment[field + 2..]);
+    // Per RFC 768 a computed zero checksum is transmitted as all-ones.
+    match !fold(acc) {
+        0 => 0xffff,
+        ck => ck,
     }
 }
 

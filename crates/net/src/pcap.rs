@@ -4,6 +4,13 @@
 //! `.pcap` format (magic `0xa1b2c3d4`, microsecond resolution, LINKTYPE_ETHERNET)
 //! so traces can be inspected with Wireshark/tcpdump, and the pipeline can
 //! ingest captures from disk.
+//!
+//! Strict reading ([`PcapReader::new`]) streams from any [`Read`] and fails
+//! on the first malformed record. Recovery — skipping implausible record
+//! headers, resynchronizing, swallowing a truncated tail — is one scan over
+//! bytes in memory: [`PcapScan`] runs it over the caller's buffer and yields
+//! frames borrowing that buffer, and [`PcapReader::new_recovering`] reads its
+//! whole stream when opened and drives the same scan.
 
 use crate::report::{IngestCategory, IngestReport};
 use crate::{NetError, Result};
@@ -38,9 +45,34 @@ const MAX_ORIG_LEN: u32 = 1 << 18;
 const MAX_SEC_BEHIND: u32 = 7 * 86_400;
 /// ...or follow it by at most this many seconds.
 const MAX_SEC_AHEAD: u32 = 30 * 86_400;
-/// Recovery-buffer compaction threshold: once this many consumed bytes
-/// accumulate at the front of the buffer, they are dropped.
-const COMPACT_THRESHOLD: usize = 1 << 20;
+
+/// The `u32` at `b[at..at + 4]` in the file's byte order.
+fn u32_at(b: &[u8], at: usize, swapped: bool) -> u32 {
+    let arr = [b[at], b[at + 1], b[at + 2], b[at + 3]];
+    if swapped {
+        u32::from_be_bytes(arr)
+    } else {
+        u32::from_le_bytes(arr)
+    }
+}
+
+/// Read and validate the 24-byte global header. Both byte orders are
+/// accepted; returns whether the file is byte-swapped, and its link type.
+fn read_global_header<R: Read>(inner: &mut R) -> Result<(bool, u32)> {
+    let mut hdr = [0u8; 24];
+    inner.read_exact(&mut hdr)?;
+    let swapped = match u32::from_le_bytes([hdr[0], hdr[1], hdr[2], hdr[3]]) {
+        MAGIC_US => false,
+        MAGIC_US_SWAPPED => true,
+        _ => {
+            return Err(NetError::Invalid {
+                what: "pcap",
+                reason: "bad magic",
+            })
+        }
+    };
+    Ok((swapped, u32_at(&hdr, 20, swapped)))
+}
 
 /// A decoded 16-byte record header (recovery path).
 #[derive(Debug, Clone, Copy)]
@@ -49,6 +81,35 @@ struct RecHeader {
     usec: u32,
     incl: u32,
     orig: u32,
+}
+
+impl RecHeader {
+    fn decode(b: &[u8], swapped: bool) -> Self {
+        RecHeader {
+            sec: u32_at(b, 0, swapped),
+            usec: u32_at(b, 4, swapped),
+            incl: u32_at(b, 8, swapped),
+            orig: u32_at(b, 12, swapped),
+        }
+    }
+
+    /// Field-level plausibility, independent of context.
+    fn fields_plausible(&self) -> bool {
+        self.usec < 1_000_000
+            && (MIN_FRAME_LEN..=MAX_FRAME_LEN).contains(&self.incl)
+            && self.orig >= self.incl
+            && self.orig <= MAX_ORIG_LEN
+    }
+
+    /// Timestamp as the pipeline's f64 seconds.
+    fn ts(&self) -> f64 {
+        self.sec as f64 + self.usec as f64 * 1e-6
+    }
+}
+
+/// Whether `sec` is within the accepted drift window of `anchor`.
+fn sec_in_window(sec: u32, anchor: u32) -> bool {
+    sec >= anchor.saturating_sub(MAX_SEC_BEHIND) && sec <= anchor.saturating_add(MAX_SEC_AHEAD)
 }
 
 /// A captured packet record: timestamp plus raw link-layer bytes.
@@ -112,72 +173,223 @@ impl<W: Write> PcapWriter<W> {
     }
 }
 
-/// A record view borrowing its frame bytes from the reader's reusable
-/// internal buffer — the zero-copy counterpart of [`PcapRecord`]. Valid
-/// until the next read call on the same reader.
+/// A record view borrowing its frame bytes — the zero-copy counterpart of
+/// [`PcapRecord`]. From a [`PcapScan`] it borrows the scanned input and
+/// lives as long as that input; from a [`PcapReader`] it borrows the
+/// reader and is valid until the next read call on it.
 #[derive(Debug, PartialEq)]
 pub struct PcapRecordView<'a> {
     /// Capture timestamp in seconds since the epoch of the capture.
     pub ts: f64,
-    /// Raw frame bytes, borrowed from the reader.
+    /// Raw frame bytes, borrowed from the input or the reader.
     pub data: &'a [u8],
 }
 
+/// The recovery scan over the record bytes of a capture (everything after
+/// the global header). Every branch of [`Self::next`] strictly advances
+/// `pos` — a yield by at least a 16-byte header, a resync by at least one
+/// byte — so the scan never loops and yields at most `len/16 + 1` records
+/// for `len` bytes.
+#[derive(Debug, Default)]
+struct Recovery {
+    swapped: bool,
+    /// Offset of the next unread byte.
+    pos: usize,
+    /// Seconds field of the newest accepted record (plausibility anchor).
+    last_sec: Option<u32>,
+    /// Records yielded so far (sample indices in the report).
+    yielded: u64,
+    /// Accounting of everything the scan ignored.
+    report: IngestReport,
+}
+
+impl Recovery {
+    fn new(swapped: bool) -> Self {
+        Self {
+            swapped,
+            ..Self::default()
+        }
+    }
+
+    /// The record header at `at`, if 16 bytes remain there.
+    fn header(&self, bytes: &[u8], at: usize) -> Option<RecHeader> {
+        bytes
+            .get(at..at + 16)
+            .map(|b| RecHeader::decode(b, self.swapped))
+    }
+
+    /// Full plausibility: fields plus the timestamp window anchored on the
+    /// newest accepted record (no window before the first acceptance).
+    fn plausible(&self, h: &RecHeader) -> bool {
+        h.fields_plausible() && self.last_sec.is_none_or(|last| sec_in_window(h.sec, last))
+    }
+
+    /// One-level chain validation for a resync candidate at offset `p`:
+    /// the header *after* the candidate record must itself look plausible
+    /// (anchored on the candidate's timestamp), or the candidate must end
+    /// at — or within a sub-header distance of — the end of the stream.
+    fn chain_ok(&self, bytes: &[u8], p: usize, h: &RecHeader) -> bool {
+        let rec_end = p + 16 + h.incl as usize;
+        if bytes.len() < rec_end {
+            // The candidate record itself extends past the end.
+            return false;
+        }
+        match self.header(bytes, rec_end) {
+            Some(next) => next.fields_plausible() && sec_in_window(next.sec, h.sec),
+            None => true,
+        }
+    }
+
+    /// Advance to the next recoverable record of `bytes`, or `None` at the
+    /// end. Malformed content is skipped and accounted, never an error.
+    fn next<'a>(&mut self, bytes: &'a [u8]) -> Option<PcapRecordView<'a>> {
+        loop {
+            let Some(h) = self.header(bytes, self.pos) else {
+                if self.pos < bytes.len() {
+                    let ts = self.last_sec.map_or(0.0, |s| s as f64);
+                    self.report.note(
+                        IngestCategory::TruncatedTail,
+                        self.yielded,
+                        ts,
+                        "stream ended inside a record header",
+                    );
+                    self.pos = bytes.len();
+                }
+                return None;
+            };
+            if self.plausible(&h) {
+                let body = self.pos + 16;
+                let Some(data) = bytes.get(body..body + h.incl as usize) else {
+                    self.report.note(
+                        IngestCategory::TruncatedTail,
+                        self.yielded,
+                        h.ts(),
+                        "stream ended inside a record body",
+                    );
+                    self.pos = bytes.len();
+                    return None;
+                };
+                self.pos = body + data.len();
+                self.last_sec = Some(self.last_sec.map_or(h.sec, |l| l.max(h.sec)));
+                self.yielded += 1;
+                return Some(PcapRecordView { ts: h.ts(), data });
+            }
+            // Implausible header: counted once, then a byte-by-byte forward
+            // scan for the next plausible, chain-validated record header.
+            self.report.note(
+                IngestCategory::BadRecordHeader,
+                self.yielded,
+                h.ts(),
+                "implausible record header",
+            );
+            let mut p = self.pos + 1;
+            loop {
+                let Some(cand) = self.header(bytes, p) else {
+                    // No room left for a header: the remainder of the
+                    // stream is unrecoverable.
+                    self.report.resync_skipped_bytes += (bytes.len() - self.pos) as u64;
+                    self.pos = bytes.len();
+                    return None;
+                };
+                if self.plausible(&cand) && self.chain_ok(bytes, p, &cand) {
+                    self.report.resync_skipped_bytes += (p - self.pos) as u64;
+                    self.report.note(
+                        IngestCategory::Resync,
+                        self.yielded,
+                        cand.ts(),
+                        "resynchronized on next plausible record header",
+                    );
+                    self.pos = p;
+                    break;
+                }
+                p += 1;
+            }
+        }
+    }
+}
+
+/// Recovery-mode reading of a capture held in memory: an iterator over
+/// [`PcapRecordView`]s that borrow the caller's bytes, with no copy and no
+/// per-record allocation.
+///
+/// It follows [`RecoveryMode::Recovery`]: an implausible record header is
+/// skipped by a chain-validated forward scan, a truncated tail is
+/// swallowed, and everything ignored is accounted in [`Self::report`].
+/// Malformed records never end the iteration with an error.
+pub struct PcapScan<'a> {
+    /// The capture after its global header.
+    records: &'a [u8],
+    /// Link type declared by the file (normally [`LINKTYPE_ETHERNET`]).
+    pub linktype: u32,
+    state: Recovery,
+}
+
+impl<'a> PcapScan<'a> {
+    /// Validate the global header of `bytes` and start a scan over the
+    /// records after it. The header must be valid (either byte order):
+    /// without a magic number there is no byte order to recover with.
+    pub fn new(bytes: &'a [u8]) -> Result<Self> {
+        let mut records = bytes;
+        let (swapped, linktype) = read_global_header(&mut records)?;
+        Ok(Self {
+            records,
+            linktype,
+            state: Recovery::new(swapped),
+        })
+    }
+
+    /// Accounting of everything the scan has ignored so far; all-zero on
+    /// clean input.
+    pub fn report(&self) -> &IngestReport {
+        &self.state.report
+    }
+
+    /// Take ownership of the report, leaving an empty one behind.
+    pub fn take_report(&mut self) -> IngestReport {
+        std::mem::take(&mut self.state.report)
+    }
+}
+
+impl<'a> Iterator for PcapScan<'a> {
+    type Item = PcapRecordView<'a>;
+
+    fn next(&mut self) -> Option<PcapRecordView<'a>> {
+        self.state.next(self.records)
+    }
+}
+
 /// Reads a pcap stream, iterating over records.
+///
+/// In [`RecoveryMode::Strict`] records are read from the stream one at a
+/// time. In [`RecoveryMode::Recovery`] the rest of the stream is read into
+/// memory when the reader is opened, and records come from the same scan
+/// as [`PcapScan`].
 pub struct PcapReader<R: Read> {
     inner: R,
     swapped: bool,
     /// Link type declared by the file (normally [`LINKTYPE_ETHERNET`]).
     pub linktype: u32,
-    /// Reusable frame buffer for the borrowed read path.
+    /// Strict mode: the reusable frame buffer of the borrowed read path.
+    /// Recovery mode: every record byte of the stream.
     buf: Vec<u8>,
     /// Total input length in bytes, when the caller knows it (lets
     /// [`Self::read_all`] preallocate instead of growing).
     input_len: Option<u64>,
-    /// Bytes consumed so far (global header + record headers + frames).
+    /// Bytes consumed so far by the strict path (global header + record
+    /// headers + frames).
     consumed: u64,
     /// Reaction to malformed record streams.
     mode: RecoveryMode,
-    /// Recovery-path read buffer (unconsumed raw bytes).
-    rbuf: Vec<u8>,
-    /// Read position within [`Self::rbuf`].
-    rpos: usize,
-    /// Whether the underlying reader hit end-of-file (recovery path).
-    reof: bool,
-    /// Seconds field of the newest accepted record (plausibility anchor).
-    last_sec: Option<u32>,
-    /// Records yielded so far (sample indices in the report).
-    yielded: u64,
-    /// Accounting of everything the recovery path ignored.
-    report: IngestReport,
+    /// The recovery scan over `buf`; unused, with an all-zero report, in
+    /// strict mode.
+    scan: Recovery,
 }
 
 impl<R: Read> PcapReader<R> {
     /// Open a pcap stream, validating the global header. Both byte orders
     /// are accepted.
     pub fn new(mut inner: R) -> Result<Self> {
-        let mut hdr = [0u8; 24];
-        inner.read_exact(&mut hdr)?;
-        let magic = u32::from_le_bytes([hdr[0], hdr[1], hdr[2], hdr[3]]);
-        let swapped = match magic {
-            MAGIC_US => false,
-            MAGIC_US_SWAPPED => true,
-            _ => {
-                return Err(NetError::Invalid {
-                    what: "pcap",
-                    reason: "bad magic",
-                })
-            }
-        };
-        let read_u32 = |b: &[u8]| {
-            let arr = [b[0], b[1], b[2], b[3]];
-            if swapped {
-                u32::from_be_bytes(arr)
-            } else {
-                u32::from_le_bytes(arr)
-            }
-        };
-        let linktype = read_u32(&hdr[20..24]);
+        let (swapped, linktype) = read_global_header(&mut inner)?;
         Ok(Self {
             inner,
             swapped,
@@ -186,12 +398,7 @@ impl<R: Read> PcapReader<R> {
             input_len: None,
             consumed: 24,
             mode: RecoveryMode::Strict,
-            rbuf: Vec::new(),
-            rpos: 0,
-            reof: false,
-            last_sec: None,
-            yielded: 0,
-            report: IngestReport::new(),
+            scan: Recovery::new(swapped),
         })
     }
 
@@ -199,8 +406,14 @@ impl<R: Read> PcapReader<R> {
     /// are skipped and counted instead of aborting the read. The global
     /// header must still be valid — without a magic number there is no byte
     /// order to recover with.
+    ///
+    /// The rest of the stream is read into memory here, so an I/O error
+    /// from `inner` surfaces from this call; reads never fail afterwards.
+    /// Callers that already hold the capture in memory should use
+    /// [`PcapScan`], which scans their bytes without copying them.
     pub fn new_recovering(inner: R) -> Result<Self> {
         let mut r = Self::new(inner)?;
+        r.inner.read_to_end(&mut r.buf)?;
         r.mode = RecoveryMode::Recovery;
         Ok(r)
     }
@@ -213,12 +426,12 @@ impl<R: Read> PcapReader<R> {
     /// Accounting of everything the recovery path has ignored so far.
     /// Always all-zero in [`RecoveryMode::Strict`] and on clean input.
     pub fn report(&self) -> &IngestReport {
-        &self.report
+        &self.scan.report
     }
 
     /// Take ownership of the report, leaving an empty one behind.
     pub fn take_report(&mut self) -> IngestReport {
-        std::mem::take(&mut self.report)
+        std::mem::take(&mut self.scan.report)
     }
 
     /// Open a pcap stream whose total byte length is known up front (a file
@@ -230,18 +443,14 @@ impl<R: Read> PcapReader<R> {
         Ok(r)
     }
 
-    /// Read the next record into the reader's reusable buffer and return a
-    /// borrowed view — no per-record allocation. Returns `None` at a clean
-    /// end-of-file.
+    /// Read the next record and return a borrowed view — no per-record
+    /// allocation. Returns `None` at a clean end-of-file.
     ///
     /// In [`RecoveryMode::Recovery`] malformed stretches of the stream are
     /// skipped (and accounted in [`Self::report`]) instead of erroring.
     pub fn next_record_borrowed(&mut self) -> Result<Option<PcapRecordView<'_>>> {
         if self.mode == RecoveryMode::Recovery {
-            return match self.advance_recovering()? {
-                Some(ts) => Ok(Some(PcapRecordView { ts, data: &self.buf })),
-                None => Ok(None),
-            };
+            return Ok(self.scan.next(&self.buf));
         }
         let mut hdr = [0u8; 16];
         match self.inner.read_exact(&mut hdr) {
@@ -249,17 +458,9 @@ impl<R: Read> PcapReader<R> {
             Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => return Ok(None),
             Err(e) => return Err(e.into()),
         }
-        let rd = |b: &[u8]| {
-            let arr = [b[0], b[1], b[2], b[3]];
-            if self.swapped {
-                u32::from_be_bytes(arr)
-            } else {
-                u32::from_le_bytes(arr)
-            }
-        };
-        let secs = rd(&hdr[0..4]);
-        let usecs = rd(&hdr[4..8]);
-        let incl_len = rd(&hdr[8..12]) as usize;
+        let secs = u32_at(&hdr, 0, self.swapped);
+        let usecs = u32_at(&hdr, 4, self.swapped);
+        let incl_len = u32_at(&hdr, 8, self.swapped) as usize;
         if incl_len > 1 << 26 {
             return Err(NetError::Invalid {
                 what: "pcap record",
@@ -311,176 +512,6 @@ impl<R: Read> PcapReader<R> {
         }
         Ok(out)
     }
-
-    // ---- recovery path -------------------------------------------------
-    //
-    // Strict mode reads straight from `inner`; recovery needs to scan
-    // backtrack-free through arbitrary garbage, so it maintains its own
-    // buffered window (`rbuf`/`rpos`) over the raw stream. Every branch
-    // below strictly advances `rpos` (a yield by ≥ 16 bytes, a resync scan
-    // by ≥ 1), so the reader can never loop forever and yields at most
-    // `len/16 + 1` records for a `len`-byte input.
-
-    fn decode_header(&self, b: &[u8]) -> RecHeader {
-        let rd = |b: &[u8]| {
-            let arr = [b[0], b[1], b[2], b[3]];
-            if self.swapped {
-                u32::from_be_bytes(arr)
-            } else {
-                u32::from_le_bytes(arr)
-            }
-        };
-        RecHeader {
-            sec: rd(&b[0..4]),
-            usec: rd(&b[4..8]),
-            incl: rd(&b[8..12]),
-            orig: rd(&b[12..16]),
-        }
-    }
-
-    /// Field-level plausibility of a record header, independent of context.
-    fn header_fields_plausible(h: &RecHeader) -> bool {
-        h.usec < 1_000_000
-            && (MIN_FRAME_LEN..=MAX_FRAME_LEN).contains(&h.incl)
-            && h.orig >= h.incl
-            && h.orig <= MAX_ORIG_LEN
-    }
-
-    /// Whether `sec` is within the accepted drift window of `anchor`.
-    fn sec_in_window(sec: u32, anchor: u32) -> bool {
-        sec >= anchor.saturating_sub(MAX_SEC_BEHIND) && sec <= anchor.saturating_add(MAX_SEC_AHEAD)
-    }
-
-    /// Full plausibility: fields plus the timestamp window anchored on the
-    /// newest accepted record (no window before the first acceptance).
-    fn plausible(&self, h: &RecHeader) -> bool {
-        Self::header_fields_plausible(h)
-            && self
-                .last_sec
-                .is_none_or(|last| Self::sec_in_window(h.sec, last))
-    }
-
-    /// Pull bytes from the underlying reader until the buffer holds at
-    /// least `target` bytes total or the stream ends.
-    fn fill_to(&mut self, target: usize) -> Result<()> {
-        let mut chunk = [0u8; 8192];
-        while !self.reof && self.rbuf.len() < target {
-            let n = self.inner.read(&mut chunk)?;
-            if n == 0 {
-                self.reof = true;
-            } else {
-                self.rbuf.extend_from_slice(&chunk[..n]);
-            }
-        }
-        Ok(())
-    }
-
-    /// One-level chain validation for a resync candidate at offset `p`:
-    /// the header *after* the candidate record must itself look plausible
-    /// (anchored on the candidate's timestamp), or the candidate must end
-    /// at — or within a sub-header distance of — the end of the stream.
-    fn chain_ok(&mut self, p: usize, h: &RecHeader) -> Result<bool> {
-        let rec_end = p + 16 + h.incl as usize;
-        self.fill_to(rec_end + 16)?;
-        if self.rbuf.len() < rec_end {
-            // The candidate record itself extends past EOF.
-            return Ok(false);
-        }
-        let remaining = self.rbuf.len() - rec_end;
-        if remaining < 16 {
-            return Ok(true);
-        }
-        let next = self.decode_header(&self.rbuf[rec_end..rec_end + 16]);
-        Ok(Self::header_fields_plausible(&next) && Self::sec_in_window(next.sec, h.sec))
-    }
-
-    /// Advance to the next recoverable record: fills `self.buf` with its
-    /// frame bytes and returns its timestamp, or `None` at end-of-stream.
-    /// Never returns an error for malformed content — only for real I/O
-    /// failures from the underlying reader.
-    fn advance_recovering(&mut self) -> Result<Option<f64>> {
-        loop {
-            if self.rpos >= COMPACT_THRESHOLD {
-                self.rbuf.drain(..self.rpos);
-                self.rpos = 0;
-            }
-            self.fill_to(self.rpos + 16)?;
-            let avail = self.rbuf.len().saturating_sub(self.rpos);
-            if avail == 0 {
-                return Ok(None);
-            }
-            if avail < 16 {
-                let ts = self.last_sec.map_or(0.0, |s| s as f64);
-                self.report.note(
-                    IngestCategory::TruncatedTail,
-                    self.yielded,
-                    ts,
-                    "stream ended inside a record header",
-                );
-                self.rpos = self.rbuf.len();
-                return Ok(None);
-            }
-            let h = self.decode_header(&self.rbuf[self.rpos..self.rpos + 16]);
-            if self.plausible(&h) {
-                let end = self.rpos + 16 + h.incl as usize;
-                self.fill_to(end)?;
-                if self.rbuf.len() < end {
-                    self.report.note(
-                        IngestCategory::TruncatedTail,
-                        self.yielded,
-                        rec_ts(&h),
-                        "stream ended inside a record body",
-                    );
-                    self.rpos = self.rbuf.len();
-                    return Ok(None);
-                }
-                self.buf.clear();
-                self.buf.extend_from_slice(&self.rbuf[self.rpos + 16..end]);
-                self.consumed += (end - self.rpos) as u64;
-                self.rpos = end;
-                self.last_sec = Some(self.last_sec.map_or(h.sec, |l| l.max(h.sec)));
-                self.yielded += 1;
-                return Ok(Some(rec_ts(&h)));
-            }
-            // Implausible header: counted once, then a byte-by-byte forward
-            // scan for the next plausible, chain-validated record header.
-            self.report.note(
-                IngestCategory::BadRecordHeader,
-                self.yielded,
-                rec_ts(&h),
-                "implausible record header",
-            );
-            let mut p = self.rpos + 1;
-            loop {
-                self.fill_to(p + 16)?;
-                if self.rbuf.len() < p + 16 {
-                    // No room left for a header: the remainder of the
-                    // stream is unrecoverable.
-                    self.report.resync_skipped_bytes += (self.rbuf.len() - self.rpos) as u64;
-                    self.rpos = self.rbuf.len();
-                    return Ok(None);
-                }
-                let cand = self.decode_header(&self.rbuf[p..p + 16]);
-                if self.plausible(&cand) && self.chain_ok(p, &cand)? {
-                    self.report.resync_skipped_bytes += (p - self.rpos) as u64;
-                    self.report.note(
-                        IngestCategory::Resync,
-                        self.yielded,
-                        rec_ts(&cand),
-                        "resynchronized on next plausible record header",
-                    );
-                    self.rpos = p;
-                    break;
-                }
-                p += 1;
-            }
-        }
-    }
-}
-
-/// Timestamp of a record header as the pipeline's f64 seconds.
-fn rec_ts(h: &RecHeader) -> f64 {
-    h.sec as f64 + h.usec as f64 * 1e-6
 }
 
 #[cfg(test)]
@@ -687,7 +718,54 @@ mod tests {
     #[test]
     fn recovery_still_rejects_bad_magic() {
         let buf = vec![0u8; 24];
-        assert!(PcapReader::new_recovering(Cursor::new(buf)).is_err());
+        assert!(PcapReader::new_recovering(Cursor::new(buf.clone())).is_err());
+        assert!(matches!(
+            PcapScan::new(&buf),
+            Err(NetError::Invalid {
+                reason: "bad magic",
+                ..
+            })
+        ));
+        assert!(matches!(PcapScan::new(&buf[..10]), Err(NetError::Io(_))));
+    }
+
+    #[test]
+    fn scan_yields_frames_borrowed_from_the_input() {
+        let (recs, buf) = sample_capture(9);
+        let mut scan = PcapScan::new(&buf).unwrap();
+        assert_eq!(scan.linktype, LINKTYPE_ETHERNET);
+        let input = buf.as_ptr_range();
+        let mut n = 0;
+        for (view, rec) in scan.by_ref().zip(&recs) {
+            assert_eq!(view.ts, rec.ts);
+            assert_eq!(view.data, &rec.data[..]);
+            assert!(input.contains(&view.data.as_ptr()), "frame was copied");
+            n += 1;
+        }
+        assert_eq!(n, recs.len());
+        assert!(scan.next().is_none());
+        assert!(scan.report().is_clean());
+    }
+
+    /// A stream that fails every read.
+    struct Unreadable;
+
+    impl Read for Unreadable {
+        fn read(&mut self, _: &mut [u8]) -> std::io::Result<usize> {
+            Err(std::io::Error::other("device gone"))
+        }
+    }
+
+    #[test]
+    fn recovering_open_surfaces_io_errors() {
+        // The header is readable; the error comes from the records after
+        // it, which a recovering reader reads when it is opened.
+        let (_, buf) = sample_capture(3);
+        let stream = Cursor::new(buf[..30].to_vec()).chain(Unreadable);
+        assert!(matches!(
+            PcapReader::new_recovering(stream),
+            Err(NetError::Io(_))
+        ));
     }
 
     #[test]

@@ -126,7 +126,7 @@ pub fn encode(
     seg.extend_from_slice(&[0, 0]); // checksum placeholder
     seg.extend_from_slice(&[0, 0]); // urgent pointer
     seg.extend_from_slice(payload);
-    let ck = transport_checksum(src_ip, dst_ip, 6, &seg);
+    let ck = transport_checksum(src_ip, dst_ip, 6, &seg, 16);
     seg[16..18].copy_from_slice(&ck.to_be_bytes());
     seg
 }
@@ -147,11 +147,8 @@ pub fn parse<'a>(src_ip: Ipv4Addr, dst_ip: Ipv4Addr, bytes: &'a [u8]) -> Result<
             reason: "bad data offset",
         });
     }
-    let mut sum_input = bytes.to_vec();
-    sum_input[16] = 0;
-    sum_input[17] = 0;
     let expect = u16::from_be_bytes([bytes[16], bytes[17]]);
-    if transport_checksum(src_ip, dst_ip, 6, &sum_input) != expect {
+    if transport_checksum(src_ip, dst_ip, 6, bytes, 16) != expect {
         return Err(NetError::Invalid {
             what: "tcp",
             reason: "checksum mismatch",

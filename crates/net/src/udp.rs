@@ -33,7 +33,7 @@ pub fn encode(
     dg.extend_from_slice(&len.to_be_bytes());
     dg.extend_from_slice(&[0, 0]); // checksum placeholder
     dg.extend_from_slice(payload);
-    let ck = transport_checksum(src_ip, dst_ip, 17, &dg);
+    let ck = transport_checksum(src_ip, dst_ip, 17, &dg, 6);
     dg[6..8].copy_from_slice(&ck.to_be_bytes());
     dg
 }
@@ -54,17 +54,13 @@ pub fn parse<'a>(src_ip: Ipv4Addr, dst_ip: Ipv4Addr, bytes: &'a [u8]) -> Result<
             reason: "length inconsistent",
         });
     }
+    // A stored zero means the sender computed no checksum.
     let expect = u16::from_be_bytes([bytes[6], bytes[7]]);
-    if expect != 0 {
-        let mut sum_input = bytes[..len].to_vec();
-        sum_input[6] = 0;
-        sum_input[7] = 0;
-        if transport_checksum(src_ip, dst_ip, 17, &sum_input) != expect {
-            return Err(NetError::Invalid {
-                what: "udp",
-                reason: "checksum mismatch",
-            });
-        }
+    if expect != 0 && transport_checksum(src_ip, dst_ip, 17, &bytes[..len], 6) != expect {
+        return Err(NetError::Invalid {
+            what: "udp",
+            reason: "checksum mismatch",
+        });
     }
     Ok(UdpDatagram {
         src_port: u16::from_be_bytes([bytes[0], bytes[1]]),

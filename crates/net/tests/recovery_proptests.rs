@@ -1,9 +1,10 @@
 //! Property tests for the recovery-mode pcap reader: arbitrary byte
 //! mutations of a valid capture must never panic the reader, never make it
 //! loop forever, and every record it does yield must round-trip through the
-//! strict header parser.
+//! strict header parser. The in-memory scan ([`PcapScan`]) must agree with
+//! the reader record for record and report for report.
 
-use behaviot_net::pcap::{PcapReader, PcapRecord, PcapWriter};
+use behaviot_net::pcap::{PcapReader, PcapRecord, PcapScan, PcapWriter};
 use proptest::prelude::*;
 use std::io::Cursor;
 
@@ -58,61 +59,91 @@ proptest! {
             apply_mutation(&mut buf, *kind, *pos, *value);
         }
 
-        let total = buf.len();
-        let mut reader = match PcapReader::new_recovering(Cursor::new(buf)) {
-            Ok(r) => r,
-            // Mutations hit the global header: rejecting it is the
-            // correct non-panicking outcome.
-            Err(_) => return,
-        };
+        check_mutated(buf);
 
-        let mut yielded: Vec<PcapRecord> = Vec::new();
-        loop {
-            match reader.next_record() {
-                Ok(Some(rec)) => yielded.push(rec),
-                Ok(None) => break,
-                // Only real I/O errors may surface; a Cursor has none.
-                Err(e) => panic!("recovery reader errored on mutated bytes: {e}"),
-            }
-            // Termination bound: each yield consumes at least a 16-byte
-            // header, so a reader that yields more than len/16 + 1 records
-            // is looping.
-            prop_assert!(
-                yielded.len() <= total / 16 + 1,
-                "reader yielded {} records from {} bytes",
-                yielded.len(),
-                total
-            );
-        }
-
-        // Every yielded record round-trips through the strict parser.
-        // (Records whose mutated timestamp sits at the very top of the u32
-        // second range are excluded: PcapWriter correctly refuses them when
-        // microsecond rounding would overflow the field.)
-        yielded.retain(|r| r.ts + 1.0 < u32::MAX as f64);
-        if !yielded.is_empty() {
-            let mut w = PcapWriter::new(Vec::new()).unwrap();
-            for r in &yielded {
-                w.write_record(r).unwrap();
-            }
-            let reserialized = w.finish().unwrap();
-            let mut strict = PcapReader::new(Cursor::new(reserialized)).unwrap();
-            for r in &yielded {
-                let back = strict
-                    .next_record()
-                    .expect("strict reread failed")
-                    .expect("strict reread ended early");
-                prop_assert_eq!(&back.data, &r.data);
-                prop_assert!((back.ts - r.ts).abs() < 2e-6);
-            }
-            prop_assert!(strict.next_record().unwrap().is_none());
-        }
-
-        // On the unmutated capture the same reader is exact and clean.
+        // On the unmutated capture the same reader is exact and clean, and
+        // so is the scan.
         let clean = write_capture(&base);
-        let mut clean_reader = PcapReader::new_recovering(Cursor::new(clean)).unwrap();
+        let mut clean_reader = PcapReader::new_recovering(Cursor::new(clean.clone())).unwrap();
         let clean_out = clean_reader.read_all().unwrap();
         prop_assert_eq!(clean_out.len(), base.len());
         prop_assert!(clean_reader.report().is_clean());
+        let mut clean_scan = PcapScan::new(&clean).unwrap();
+        prop_assert_eq!(clean_scan.by_ref().count(), base.len());
+        prop_assert!(clean_scan.report().is_clean());
+    }
+}
+
+/// The properties of one mutated capture. (A plain function, so that the
+/// early return on a rejected global header ends this case only.)
+fn check_mutated(buf: Vec<u8>) {
+    let total = buf.len();
+    let scan = PcapScan::new(&buf);
+    let mut reader = match PcapReader::new_recovering(Cursor::new(buf.clone())) {
+        Ok(r) => r,
+        // Mutations hit the global header: rejecting it is the correct
+        // non-panicking outcome, and the scan rejects it too.
+        Err(_) => {
+            assert!(scan.is_err(), "scan accepted a header the reader refused");
+            return;
+        }
+    };
+    let mut scan = scan.expect("scan refused a header the reader accepted");
+
+    let mut yielded: Vec<PcapRecord> = Vec::new();
+    loop {
+        match reader.next_record() {
+            Ok(Some(rec)) => yielded.push(rec),
+            Ok(None) => break,
+            // Only real I/O errors may surface, and only at open.
+            Err(e) => panic!("recovery reader errored on mutated bytes: {e}"),
+        }
+        // Termination bound: each yield consumes at least a 16-byte
+        // header, so a reader that yields more than len/16 + 1 records
+        // is looping.
+        assert!(
+            yielded.len() <= total / 16 + 1,
+            "reader yielded {} records from {} bytes",
+            yielded.len(),
+            total
+        );
+    }
+
+    // The scan over the same bytes yields the same records and accounts
+    // for the same damage.
+    let mut scanned = 0;
+    for (view, rec) in scan.by_ref().zip(&yielded) {
+        assert_eq!(view.ts, rec.ts);
+        assert_eq!(view.data, &rec.data[..]);
+        scanned += 1;
+    }
+    assert_eq!(scanned, yielded.len());
+    assert!(
+        scan.next().is_none(),
+        "scan yielded more records than the reader"
+    );
+    assert_eq!(scan.report(), reader.report());
+
+    // Every yielded record round-trips through the strict parser.
+    // (Records whose mutated timestamp sits at the very top of the u32
+    // second range are excluded: PcapWriter correctly refuses them when
+    // microsecond rounding would overflow the field.)
+    yielded.retain(|r| r.ts + 1.0 < u32::MAX as f64);
+    if !yielded.is_empty() {
+        let mut w = PcapWriter::new(Vec::new()).unwrap();
+        for r in &yielded {
+            w.write_record(r).unwrap();
+        }
+        let reserialized = w.finish().unwrap();
+        let mut strict = PcapReader::new(Cursor::new(reserialized)).unwrap();
+        for r in &yielded {
+            let back = strict
+                .next_record()
+                .expect("strict reread failed")
+                .expect("strict reread ended early");
+            assert_eq!(&back.data, &r.data);
+            assert!((back.ts - r.ts).abs() < 2e-6);
+        }
+        assert!(strict.next_record().unwrap().is_none());
     }
 }

@@ -13,6 +13,9 @@ cargo build --release --all-targets
 echo "==> perfbench (outside the workspace) still builds against the library APIs"
 cargo check --offline --manifest-path perfbench/Cargo.toml
 
+echo "==> perfbench unit tests"
+cargo test --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> cargo test (full suite)"
 cargo test --release -q
 
@@ -34,6 +37,9 @@ cargo test --release -q -p behaviot-harness --test metrics_determinism
 
 echo "==> alloc contract: steady-state classify performs zero heap allocations"
 cargo test --release -q -p behaviot --test classify_alloc
+
+echo "==> alloc contract: frame classification (TCP/UDP/ARP/corrupt TCP) allocates nothing"
+cargo test --release -q -p behaviot-flows --test classify_frame_alloc
 
 echo "==> alloc contract: steady-state monitor windows (plain + audited) allocate nothing"
 cargo test --release -q -p behaviot --test monitor_alloc
