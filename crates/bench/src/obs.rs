@@ -23,18 +23,19 @@ pub struct ObsSession {
     openmetrics_path: Option<PathBuf>,
 }
 
-fn flag_value(args: &[String], i: usize, flag: &str) -> Option<String> {
+/// The value `args[i]` gives `flag`: `Ok(None)` when `args[i]` is some
+/// other argument. In the separate form (`--flag VALUE`) a missing value,
+/// or one that is itself a flag (`--…`), is an error; the `--flag=VALUE`
+/// form takes its value as written.
+fn flag_value(args: &[String], i: usize, flag: &str) -> Result<Option<String>, String> {
     let a = &args[i];
     if a == flag {
         match args.get(i + 1) {
-            Some(v) => Some(v.clone()),
-            None => {
-                eprintln!("{flag} requires a path");
-                std::process::exit(2);
-            }
+            Some(v) if !v.starts_with("--") => Ok(Some(v.clone())),
+            _ => Err(format!("{flag} requires a path")),
         }
     } else {
-        a.strip_prefix(&format!("{flag}=")).map(str::to_string)
+        Ok(a.strip_prefix(&format!("{flag}=")).map(str::to_string))
     }
 }
 
@@ -51,17 +52,20 @@ impl ObsSession {
         let mut ledger_path: Option<PathBuf> = None;
         let mut openmetrics_path: Option<PathBuf> = None;
         for i in 0..args.len() {
-            if let Some(v) = flag_value(&args, i, "--trace") {
-                trace_path = Some(PathBuf::from(v));
-            }
-            if let Some(v) = flag_value(&args, i, "--metrics-out") {
-                metrics_path = Some(PathBuf::from(v));
-            }
-            if let Some(v) = flag_value(&args, i, "--ledger-out") {
-                ledger_path = Some(PathBuf::from(v));
-            }
-            if let Some(v) = flag_value(&args, i, "--openmetrics-out") {
-                openmetrics_path = Some(PathBuf::from(v));
+            for (flag, path) in [
+                ("--trace", &mut trace_path),
+                ("--metrics-out", &mut metrics_path),
+                ("--ledger-out", &mut ledger_path),
+                ("--openmetrics-out", &mut openmetrics_path),
+            ] {
+                match flag_value(&args, i, flag) {
+                    Ok(Some(v)) => *path = Some(PathBuf::from(v)),
+                    Ok(None) => {}
+                    Err(e) => {
+                        eprintln!("{e}");
+                        std::process::exit(2);
+                    }
+                }
             }
         }
         if trace_path.is_none() {
@@ -148,5 +152,37 @@ impl ObsSession {
             });
             eprintln!("[obs] openmetrics written to {}", path.display());
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::flag_value;
+
+    fn args(a: &[&str]) -> Vec<String> {
+        a.iter().map(|s| s.to_string()).collect()
+    }
+
+    #[test]
+    fn separate_value_that_is_a_flag_is_a_missing_path() {
+        let a = args(&["--trace", "--metrics-out", "m"]);
+        assert_eq!(
+            flag_value(&a, 0, "--trace"),
+            Err("--trace requires a path".into())
+        );
+        assert_eq!(flag_value(&a, 1, "--metrics-out"), Ok(Some("m".into())));
+        assert_eq!(flag_value(&a, 1, "--trace"), Ok(None));
+        let dangling = args(&["--ledger-out"]);
+        assert_eq!(
+            flag_value(&dangling, 0, "--ledger-out"),
+            Err("--ledger-out requires a path".into())
+        );
+    }
+
+    #[test]
+    fn equals_form_takes_its_value_as_written() {
+        let a = args(&["--trace=--x"]);
+        assert_eq!(flag_value(&a, 0, "--trace"), Ok(Some("--x".into())));
+        assert_eq!(flag_value(&a, 0, "--metrics-out"), Ok(None));
     }
 }

@@ -129,16 +129,6 @@ impl Prepared {
     }
 }
 
-/// Train device models from labeled idle + activity flows with the
-/// environment's thread policy.
-pub fn train_on(
-    idle: &[LabeledFlow],
-    activity: &[LabeledFlow],
-    names: &HashMap<Ipv4Addr, String>,
-) -> BehavIoT {
-    train_on_with(idle, activity, names, Parallelism::from_env())
-}
-
 /// Train device models under an explicit thread policy.
 pub fn train_on_with(
     idle: &[LabeledFlow],

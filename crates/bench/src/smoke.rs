@@ -3,7 +3,7 @@
 //! trace-smoke step of `scripts/verify.sh`.
 //!
 //! Stages exercised (and the spans/metrics they emit): pcap ingest
-//! (`ingest.*`), batch and streaming flow assembly (`flows.*`), periodic
+//! (`ingest.*`), flow assembly (`flows.*`), periodic
 //! training with period detection (`periodic.*`, `dsp.*`), forest training
 //! and prediction (`forest.*`), event inference (`events.*`), and PFSM
 //! refinement (`system.*`, `pfsm.*`), and one monitor window over the live
@@ -14,7 +14,7 @@
 use crate::prep::{Prepared, Scale};
 use behaviot::{HealthConfig, Monitor, MonitorConfig, SystemModel, SystemModelConfig, WindowIngest};
 use behaviot_flows::ingest::{ingest_pcap_bytes, IngestOptions};
-use behaviot_flows::{assemble_flows, FlowConfig, StreamingAssembler};
+use behaviot_flows::{assemble_flows, FlowConfig};
 use behaviot_obs::{LedgerSink, NullSink};
 use behaviot_par::Parallelism;
 use behaviot_sim::gen::{capture_to_frames, GenOptions};
@@ -52,16 +52,8 @@ pub fn run_smoke_audited(par: Parallelism, sink: &mut dyn LedgerSink) -> String 
     let ingested = ingest_pcap_bytes(&write_pcap(&records), &IngestOptions::default())
         .expect("smoke capture must ingest cleanly");
 
-    // 2. Flow assembly, both batch (flows.assemble) and streaming
-    // (flows.stream_bursts) paths.
-    let fc = FlowConfig::default();
-    let flows = assemble_flows(&ingested.packets, &ingested.domains, &fc);
-    let mut streaming = StreamingAssembler::new(fc);
-    let mut streamed = Vec::new();
-    for p in &ingested.packets {
-        streaming.push_into(p, &ingested.domains, &mut streamed);
-    }
-    streaming.flush_into(&ingested.domains, &mut streamed);
+    // 2. Flow assembly (flows.assemble).
+    let flows = assemble_flows(&ingested.packets, &ingested.domains, &FlowConfig::default());
 
     // 3. Model training: periodic models (periodic.train → dsp.period_detect)
     // and user-action forests (forest.fit).
@@ -103,10 +95,9 @@ pub fn run_smoke_audited(par: Parallelism, sink: &mut dyn LedgerSink) -> String 
         monitor.process_window_audited(&routine_flows, w_start, w_end, Some(ingest), sink);
 
     format!(
-        "obs smoke: {} packets -> {} flows ({} streamed), {} events, {} routine events, pfsm {} states / {} transitions, {} monitor deviations",
+        "obs smoke: {} packets -> {} flows, {} events, {} routine events, pfsm {} states / {} transitions, {} monitor deviations",
         ingested.packets.len(),
         flows.len(),
-        streamed.len(),
         events.len(),
         routine_events.len(),
         system.pfsm.n_states(),

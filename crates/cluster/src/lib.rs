@@ -25,8 +25,8 @@
 //!   ([`DbscanModel::matches`]) returns at the first in-eps core point.
 //!
 //! Every rewrite here is pinned byte-identical to the pre-flat
-//! implementation (vendored in `tests/parity.rs` and
-//! `crates/bench/benches/cluster.rs`): neighbor *sets* are unchanged by the
+//! implementation (vendored in `tests/baseline/mod.rs`, checked by
+//! `tests/parity.rs`): neighbor *sets* are unchanged by the
 //! grid (bin width = eps, so any pair within eps differs by at most one cell
 //! per binned dimension), neighbor lists are sorted ascending to reproduce
 //! the old full-scan enumeration order, and tie-breaks in

@@ -4,8 +4,7 @@
 //! first-match-wins predict. Kept allocation-for-allocation faithful.
 //!
 //! This is the one copy. `tests/parity.rs` checks the live crate against
-//! it byte for byte, and `behaviot-bench`'s `benches/cluster.rs` includes
-//! it with `#[path]` to time the rewrite against the real predecessor.
+//! it byte for byte.
 
 pub const NOISE: i32 = -1;
 

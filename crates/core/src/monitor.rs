@@ -6,7 +6,7 @@
 //! allocations per window beyond emitted [`Deviation`] report strings —
 //! pinned by `tests/monitor_alloc.rs`; the deviation stream is byte-
 //! identical to the pre-rewrite String pipeline — pinned by
-//! `tests/monitor_parity.rs` and the `benches/monitor.rs` agreement gate.
+//! `tests/monitor_parity.rs`.
 
 use crate::deviation::{
     long_term_threshold, periodic_metric_multi_explain, LongTermAccumulator, PERIODIC_THRESHOLD,

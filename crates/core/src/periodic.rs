@@ -135,14 +135,6 @@ impl PeriodicModel {
         self.cluster.matches(scratch)
     }
 
-    /// Convenience wrapper over [`Self::cluster_matches_with`] with a local
-    /// scratch buffer (allocates; streaming callers should hold their own
-    /// scratch).
-    pub fn cluster_matches(&self, features: &[f64]) -> bool {
-        let mut scratch = Vec::with_capacity(features.len());
-        self.cluster_matches_with(features, &mut scratch)
-    }
-
     /// The fitted feature standardizer (serialization surface).
     pub fn standardizer(&self) -> &Standardizer {
         &self.standardizer
@@ -312,7 +304,7 @@ impl PeriodicModelSet {
         flows.iter().map(|f| clf.classify(f)).collect()
     }
 
-    /// Training configuration (exposed for ablation benches).
+    /// Training configuration (exposed for the ablation experiments).
     pub fn config(&self) -> &PeriodicTrainConfig {
         &self.cfg
     }

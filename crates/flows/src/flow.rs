@@ -18,11 +18,6 @@ pub struct FlowConfig {
     pub subnet: Ipv4Addr,
     /// LAN prefix length.
     pub prefix_len: u8,
-    /// How far backwards (seconds) a packet timestamp may step before the
-    /// streaming assembler treats it as a clock jump and re-anchors its
-    /// eviction clock instead of trusting the old high-water mark. Bounded
-    /// out-of-order delivery below this threshold is absorbed as-is.
-    pub clock_jump_tolerance: f64,
 }
 
 impl Default for FlowConfig {
@@ -31,7 +26,6 @@ impl Default for FlowConfig {
             burst_gap: 1.0,
             subnet: Ipv4Addr::new(192, 168, 0, 0),
             prefix_len: 16,
-            clock_jump_tolerance: 60.0,
         }
     }
 }

@@ -22,14 +22,12 @@ pub mod features;
 pub mod flow;
 pub mod ingest;
 pub mod packet;
-pub mod streaming;
 
 pub use domain::DomainTable;
 pub use features::{FeatureScratch, FeatureVector, FEATURE_NAMES, N_FEATURES};
 pub use flow::{assemble_flows, FlowConfig, FlowRecord};
 pub use ingest::{IngestOptions, Ingested};
 pub use packet::{classify_frame, parse_frame, Direction, FrameClass, GatewayPacket, ParsedFrame};
-pub use streaming::StreamingAssembler;
 
 // Re-exported so downstream pipeline crates share the same interner types
 // without a separate dependency line.

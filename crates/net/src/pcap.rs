@@ -372,12 +372,6 @@ pub struct PcapReader<R: Read> {
     /// Strict mode: the reusable frame buffer of the borrowed read path.
     /// Recovery mode: every record byte of the stream.
     buf: Vec<u8>,
-    /// Total input length in bytes, when the caller knows it (lets
-    /// [`Self::read_all`] preallocate instead of growing).
-    input_len: Option<u64>,
-    /// Bytes consumed so far by the strict path (global header + record
-    /// headers + frames).
-    consumed: u64,
     /// Reaction to malformed record streams.
     mode: RecoveryMode,
     /// The recovery scan over `buf`; unused, with an all-zero report, in
@@ -395,8 +389,6 @@ impl<R: Read> PcapReader<R> {
             swapped,
             linktype,
             buf: Vec::new(),
-            input_len: None,
-            consumed: 24,
             mode: RecoveryMode::Strict,
             scan: Recovery::new(swapped),
         })
@@ -434,15 +426,6 @@ impl<R: Read> PcapReader<R> {
         std::mem::take(&mut self.scan.report)
     }
 
-    /// Open a pcap stream whose total byte length is known up front (a file
-    /// or an in-memory buffer). [`Self::read_all`] uses the length to size
-    /// its result exactly instead of growing geometrically.
-    pub fn with_input_len(inner: R, total_bytes: u64) -> Result<Self> {
-        let mut r = Self::new(inner)?;
-        r.input_len = Some(total_bytes);
-        Ok(r)
-    }
-
     /// Read the next record and return a borrowed view — no per-record
     /// allocation. Returns `None` at a clean end-of-file.
     ///
@@ -469,7 +452,6 @@ impl<R: Read> PcapReader<R> {
         }
         self.buf.resize(incl_len, 0);
         self.inner.read_exact(&mut self.buf)?;
-        self.consumed += 16 + incl_len as u64;
         Ok(Some(PcapRecordView {
             ts: secs as f64 + usecs as f64 * 1e-6,
             data: &self.buf,
@@ -486,27 +468,8 @@ impl<R: Read> PcapReader<R> {
     }
 
     /// Collect all remaining records.
-    ///
-    /// When the input length is known ([`Self::with_input_len`]), the
-    /// result is sized from the remaining byte count and the first record's
-    /// on-disk stride, so uniform captures never reallocate.
     pub fn read_all(&mut self) -> Result<Vec<PcapRecord>> {
-        let first = match self.next_record()? {
-            Some(r) => r,
-            None => return Ok(Vec::new()),
-        };
-        let estimate = match self.input_len {
-            Some(total) => {
-                let stride = (16 + first.data.len()) as u64;
-                let remaining = total.saturating_sub(self.consumed);
-                // Cap the guess so a corrupt length field cannot force a
-                // huge up-front allocation.
-                (1 + remaining / stride).min(1 << 22) as usize
-            }
-            None => 1,
-        };
-        let mut out = Vec::with_capacity(estimate);
-        out.push(first);
+        let mut out = Vec::new();
         while let Some(rec) = self.next_record()? {
             out.push(rec);
         }
@@ -614,27 +577,6 @@ mod tests {
             assert_eq!(b.data, &o.data[..]);
         }
         assert!(borrowed.next_record_borrowed().unwrap().is_none());
-    }
-
-    #[test]
-    fn read_all_preallocates_without_growth() {
-        // Uniform records: the stride estimate is exact, so read_all must
-        // land on capacity == len (no geometric growth, no over-reserve).
-        let n = 513;
-        let mut w = PcapWriter::new(Vec::new()).unwrap();
-        for i in 0..n {
-            w.write_record(&PcapRecord {
-                ts: i as f64,
-                data: vec![0xab; 60],
-            })
-            .unwrap();
-        }
-        let buf = w.finish().unwrap();
-        let total = buf.len() as u64;
-        let mut rd = PcapReader::with_input_len(Cursor::new(buf), total).unwrap();
-        let out = rd.read_all().unwrap();
-        assert_eq!(out.len(), n);
-        assert_eq!(out.capacity(), n, "read_all grew instead of preallocating");
     }
 
     fn sample_capture(n: u8) -> (Vec<PcapRecord>, Vec<u8>) {

@@ -96,7 +96,7 @@ pub enum MetricDelta {
 }
 
 /// A name-ordered diff of two snapshots of the same registry — the
-/// windowed view behind rate reporting (`fleet-health`, BENCH rows).
+/// windowed view behind rate reporting (`fleet-health`).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct SnapshotDiff {
     /// `(name, delta)` pairs sorted by name; metrics absent from the later

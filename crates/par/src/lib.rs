@@ -115,37 +115,6 @@ impl std::fmt::Display for Parallelism {
     }
 }
 
-/// Number of CPUs available to this process (≥ 1).
-pub fn available_cores() -> usize {
-    std::thread::available_parallelism()
-        .map(|v| v.get())
-        .unwrap_or(1)
-}
-
-/// Thread counts a scaling sweep should measure on this host: the standard
-/// `1/2/4/8` curve clipped to the available cores (oversubscribed points
-/// measure scheduler noise, not scaling), always including the core count
-/// itself so the curve ends at full utilization. On a single-core host this
-/// is just `[1]` — the serial baseline remains comparable across hosts,
-/// which is why BENCH rows carry host metadata.
-pub fn sweep_thread_counts() -> Vec<usize> {
-    sweep_thread_counts_for(available_cores())
-}
-
-/// [`sweep_thread_counts`] for an explicit core count (testable on any host).
-pub fn sweep_thread_counts_for(cores: usize) -> Vec<usize> {
-    let cores = cores.max(1);
-    let mut counts: Vec<usize> = [1usize, 2, 4, 8]
-        .into_iter()
-        .filter(|&n| n <= cores)
-        .collect();
-    if !counts.contains(&cores) && cores <= 8 {
-        counts.push(cores);
-    }
-    counts.sort_unstable();
-    counts
-}
-
 /// One result slot. Safety: each slot index is claimed by exactly one chunk
 /// and each chunk is executed by exactly one worker, so a slot is written at
 /// most once and only read after the scope joins all workers.
@@ -398,21 +367,5 @@ mod tests {
             })
         });
         assert!(res.is_err());
-    }
-
-    #[test]
-    fn sweep_counts_clip_to_cores() {
-        assert_eq!(sweep_thread_counts_for(1), vec![1]);
-        assert_eq!(sweep_thread_counts_for(2), vec![1, 2]);
-        assert_eq!(sweep_thread_counts_for(3), vec![1, 2, 3]);
-        assert_eq!(sweep_thread_counts_for(4), vec![1, 2, 4]);
-        assert_eq!(sweep_thread_counts_for(6), vec![1, 2, 4, 6]);
-        assert_eq!(sweep_thread_counts_for(8), vec![1, 2, 4, 8]);
-        // Beyond 8 the curve stays 1/2/4/8: oversubscription points past
-        // the standard curve aren't comparable across hosts.
-        assert_eq!(sweep_thread_counts_for(16), vec![1, 2, 4, 8]);
-        assert_eq!(sweep_thread_counts_for(0), vec![1]);
-        // The live helper always starts at the serial baseline.
-        assert_eq!(sweep_thread_counts()[0], 1);
     }
 }

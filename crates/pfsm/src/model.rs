@@ -242,12 +242,6 @@ impl Pfsm {
             .map(move |(&(from, to), &c)| (from, to, c, c as f64 / self.out_total[&from] as f64))
     }
 
-    /// Outgoing observation count of a state (the `n` of the long-term
-    /// metric's z-test).
-    pub fn out_count(&self, s: StateId) -> u64 {
-        self.out_total.get(&s).copied().unwrap_or(0)
-    }
-
     fn smoothed(&self, from: StateId, to: StateId) -> f64 {
         let total = self.out_total.get(&from).copied().unwrap_or(0);
         let count = self.trans.get(&(from, to)).copied().unwrap_or(0);

@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # Repo verification gate: build, full test suite, the parallel-determinism
-# contract under an explicit thread count and under `off`, and clippy with
-# warnings denied on the crates the parallel pipeline touches.
+# contract under an explicit thread count and under `off`, clippy with
+# warnings denied on the crates the parallel pipeline touches, and the
+# parity references the rewritten DSP and clustering cores are checked
+# against.
 #
 # Usage: scripts/verify.sh
 set -euo pipefail
@@ -156,19 +158,8 @@ cargo clippy --release -q \
   -p behaviot-obs -p behaviot-store -p behaviot-cluster \
   --all-targets -- -D warnings
 
-echo "==> bench smoke: ingest paths must agree (tiny sample budget)"
-CRITERION_SAMPLE_MS=5 cargo bench -p behaviot-bench --bench ingest >/dev/null
-
-echo "==> bench smoke: DSP baseline/fast kernels must agree (tiny sample budget)"
-CRITERION_SAMPLE_MS=5 cargo bench -p behaviot-bench --bench dsp >/dev/null
-
-echo "==> bench smoke: cluster baseline/fast cores must agree (tiny sample budget)"
-CRITERION_SAMPLE_MS=5 cargo bench -p behaviot-bench --bench cluster >/dev/null
-
-echo "==> bench smoke: monitor deviation streams must agree (tiny sample budget)"
-CRITERION_SAMPLE_MS=5 cargo bench -p behaviot-bench --bench monitor >/dev/null
-
-echo "==> committed BENCH files must carry host metadata"
-python3 scripts/check_bench_meta.py BENCH_*.json
+echo "==> parity references: live DSP and clustering cores match their vendored predecessors"
+cargo test --release -q -p behaviot-dsp --test period_parity
+cargo test --release -q -p behaviot-cluster --test parity
 
 echo "verify: OK"

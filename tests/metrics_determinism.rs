@@ -62,7 +62,6 @@ fn snapshots_policy_invariant_and_observability_invisible() {
         "ingest.packets",
         "ingest.corrupt_frames",
         "flows.assembled",
-        "flows.stream_bursts",
         "events.user",
         "events.periodic",
         "events.aperiodic",

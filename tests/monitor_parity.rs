@@ -10,7 +10,7 @@
 //! emission order is part of the contract.
 
 use behaviot::system::{traces_from_events_syms, SystemModel, SystemModelConfig};
-use behaviot::{BehavIoT, Monitor, MonitorConfig, TrainConfig, TrainingData};
+use behaviot::{BehavIoT, DeviationKind, Monitor, MonitorConfig, TrainConfig, TrainingData};
 use behaviot_flows::{assemble_flows, FlowConfig};
 use behaviot_par::Parallelism;
 use behaviot_sim::{self as sim, Catalog, IncidentScript, TruthLabel, UncontrolledConfig};
@@ -71,7 +71,9 @@ fn deviation_stream_matches_string_pipeline() {
                 (par, models, system)
             })
             .collect();
-    let mut totals = vec![0usize; policies.len()];
+    // Deviations per policy, counted by `DeviationKind` in declaration
+    // order (periodic, short-term, long-term).
+    let mut totals = vec![[0usize; 3]; policies.len()];
 
     // Three distinct uncontrolled datasets: different seeds, and the
     // paper-like incident script (relocations, resets, outages,
@@ -107,13 +109,26 @@ fn deviation_stream_matches_string_pipeline() {
                     format!("{want:#?}"),
                     "dataset {dataset} day {day} ({par:?}): deviation streams diverged"
                 );
-                *total += got.len();
+                for d in &got {
+                    total[d.kind as usize] += 1;
+                }
             }
         }
     }
-    // The incident script must actually fire: a trivially-empty stream
-    // would make this parity check vacuous.
+    // The incident script must make every metric fire: a kind that never
+    // appears would leave that metric's parity unchecked.
+    let kinds = [
+        DeviationKind::PeriodicTiming,
+        DeviationKind::ShortTerm,
+        DeviationKind::LongTerm,
+    ];
     for ((par, _, _), total) in policies.iter().zip(totals) {
-        assert!(total > 0, "no deviations across any dataset ({par:?})");
+        for (kind, n) in kinds.iter().zip(total) {
+            assert!(
+                n > 0,
+                "no {} deviations across any dataset ({par:?})",
+                kind.label()
+            );
+        }
     }
 }

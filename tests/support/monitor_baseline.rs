@@ -7,10 +7,10 @@
 //! passes per trace, String-labeled long-term rows) is faithfully
 //! reproduced.
 //!
-//! This is the one copy. `tests/monitor_parity.rs` checks the live
-//! [`behaviot::Monitor`] against it byte for byte, and `behaviot-bench`'s
-//! `benches/monitor.rs` includes it with `#[path]` to time the rewrite
-//! against the real predecessor rather than a reimplementation.
+//! This is the one copy. `tests/monitor_parity.rs` includes it with
+//! `#[path]` and checks the live [`behaviot::Monitor`] against it byte for
+//! byte, so parity is judged against the real predecessor rather than a
+//! reimplementation.
 
 use behaviot::deviation::{long_term_threshold, periodic_metric_multi};
 use behaviot::event::InferredEvent;
