@@ -16,6 +16,7 @@
 //! feature-statistics approach wins).
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 use behaviot_flows::GatewayPacket;
 use behaviot_net::Proto;

@@ -6,6 +6,8 @@
 //! printable report, so `--bin all` can regenerate the paper's entire
 //! evaluation in one run, and each `--bin tableN` stays a thin wrapper.
 
+#![forbid(unsafe_code)]
+
 pub mod experiments;
 pub mod obs;
 pub mod prep;

@@ -34,6 +34,7 @@
 //! the old first-match-wins scan did.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};

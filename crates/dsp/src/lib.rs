@@ -15,6 +15,7 @@
 //! unit/property tested.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod autocorr;
 pub mod cdf;

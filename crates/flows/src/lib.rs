@@ -16,6 +16,7 @@
 //! directly from the testbed simulator as [`GatewayPacket`]s.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod domain;
 pub mod features;

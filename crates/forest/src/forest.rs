@@ -81,7 +81,7 @@ impl RandomForest {
         };
 
         // Trees are independent given their pre-drawn seeds, so the
-        // work-stealing map joins them back in job order and parallel
+        // parallel map joins them back in job order and parallel
         // training is byte-identical to serial.
         let results: Vec<(DecisionTree, Vec<bool>)> = par_map(cfg.parallelism, &jobs, train_one);
 

@@ -12,6 +12,7 @@
 //! scratch.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod forest;
 pub mod tree;

@@ -7,7 +7,7 @@
 //! lookup — a measurable serial tax on the per-flow data-plane path.
 //!
 //! [`Symbol`] replaces those keys with a `Copy` 4-byte handle into a
-//! process-wide, arena-backed table:
+//! process-wide, append-only table:
 //!
 //! * **Interning is deterministic.** A fresh [`Interner`] assigns ids
 //!   `0, 1, 2, …` in first-insertion order, so identical insertion
@@ -19,10 +19,14 @@
 //!   serialized artifacts are identical no matter which process (or test
 //!   interleaving) assigned the ids. Only `Eq`/`Hash` use the id, which is
 //!   sound because interning is injective.
-//! * **Resolution is `&'static str`.** Interned bytes live in leaked arena
-//!   chunks for the life of the process (symbols are process-lifetime by
-//!   design; the unique-string working set of a deployment is tiny), so
-//!   resolving never copies and the result can be held across calls.
+//! * **Resolution is `&'static str`.** Each new string is copied once into
+//!   its own leaked allocation that lives for the rest of the process
+//!   (symbols are process-lifetime by design; the unique-string working set
+//!   of a deployment is small), so resolving never copies and the result
+//!   can be held across calls.
+//! * **A poisoned lock is not fatal.** The one panic in an update (the id
+//!   space running out) comes before the tables change, so they are whole
+//!   after any panic and the interner keeps serving from them.
 //!
 //! The crate also provides [`FxHasher`] — the FxHash multiply-rotate hash
 //! used by rustc — as the default hasher for symbol- and small-struct-keyed
@@ -30,12 +34,13 @@
 //! once the keys themselves are cheap.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::net::Ipv4Addr;
-use std::sync::RwLock;
+use std::sync::{PoisonError, RwLock, RwLockReadGuard};
 
 // ---------------------------------------------------------------------------
 // FxHash
@@ -115,68 +120,12 @@ pub type FxHashMap<K, V> = HashMap<K, V, FxBuildHasher>;
 pub type FxHashSet<K> = HashSet<K, FxBuildHasher>;
 
 // ---------------------------------------------------------------------------
-// Arena
-// ---------------------------------------------------------------------------
-
-const CHUNK_BYTES: usize = 16 * 1024;
-
-/// Bump allocator over leaked chunks. Chunks are intentionally never freed:
-/// interned strings are process-lifetime, which is what makes resolving a
-/// [`Symbol`] to `&'static str` sound.
-struct Arena {
-    cur: *mut u8,
-    cap: usize,
-    used: usize,
-}
-
-// SAFETY: the raw pointer is only written under the interner's exclusive
-// (write) lock; every region handed out is never written again and is
-// exposed only as an immutable `&'static str`.
-unsafe impl Send for Arena {}
-unsafe impl Sync for Arena {}
-
-impl Arena {
-    const fn new() -> Self {
-        Self {
-            cur: std::ptr::null_mut(),
-            cap: 0,
-            used: 0,
-        }
-    }
-
-    /// Copy `s` into the arena and return it with `'static` lifetime.
-    fn alloc(&mut self, s: &str) -> &'static str {
-        let len = s.len();
-        if len == 0 {
-            return "";
-        }
-        if self.cap - self.used < len {
-            let cap = CHUNK_BYTES.max(len);
-            // Leaked on purpose: see the type-level comment.
-            self.cur = Box::leak(vec![0u8; cap].into_boxed_slice()).as_mut_ptr();
-            self.cap = cap;
-            self.used = 0;
-        }
-        // SAFETY: `cur + used .. cur + used + len` is in-bounds of the live
-        // (leaked) chunk, unaliased (each region is handed out once), and
-        // the bytes written are valid UTF-8 because they come from `s`.
-        unsafe {
-            let dst = self.cur.add(self.used);
-            std::ptr::copy_nonoverlapping(s.as_ptr(), dst, len);
-            self.used += len;
-            std::str::from_utf8_unchecked(std::slice::from_raw_parts(dst, len))
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Interner
 // ---------------------------------------------------------------------------
 
 struct Inner {
     map: HashMap<&'static str, u32, FxBuildHasher>,
     strings: Vec<&'static str>,
-    arena: Arena,
 }
 
 /// A deterministic string interner.
@@ -200,24 +149,31 @@ impl Interner {
             inner: RwLock::new(Inner {
                 map: HashMap::with_hasher(BuildHasherDefault::new()),
                 strings: Vec::new(),
-                arena: Arena::new(),
             }),
         }
+    }
+
+    /// Shared access to the tables. They are whole after any panic (see
+    /// the crate docs), so a poisoned lock is used as is.
+    fn read(&self) -> RwLockReadGuard<'_, Inner> {
+        self.inner.read().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Intern a string, returning its [`Symbol`] (the existing one if the
     /// string was seen before).
     pub fn intern(&self, s: &str) -> Symbol {
-        if let Some(&id) = self.inner.read().expect("interner poisoned").map.get(s) {
+        if let Some(&id) = self.read().map.get(s) {
             return Symbol(id);
         }
-        let mut inner = self.inner.write().expect("interner poisoned");
+        let mut inner = self.inner.write().unwrap_or_else(PoisonError::into_inner);
         // Re-check: another thread may have interned between the locks.
         if let Some(&id) = inner.map.get(s) {
             return Symbol(id);
         }
         let id = u32::try_from(inner.strings.len()).expect("interner full");
-        let stored = inner.arena.alloc(s);
+        // Leaked on purpose: symbols are process-lifetime, which is what
+        // makes resolving one to `&'static str` sound.
+        let stored: &'static str = Box::leak(s.into());
         inner.strings.push(stored);
         inner.map.insert(stored, id);
         Symbol(id)
@@ -227,12 +183,7 @@ impl Interner {
     /// (e.g. querying a model set for a destination never seen in traffic)
     /// from growing the table.
     pub fn lookup(&self, s: &str) -> Option<Symbol> {
-        self.inner
-            .read()
-            .expect("interner poisoned")
-            .map
-            .get(s)
-            .map(|&id| Symbol(id))
+        self.read().map.get(s).map(|&id| Symbol(id))
     }
 
     /// Resolve a symbol previously returned by [`Self::intern`].
@@ -242,12 +193,12 @@ impl Interner {
     /// assigned yet (mixing interners is a bug; the pipeline only uses the
     /// global one).
     pub fn resolve(&self, sym: Symbol) -> &'static str {
-        self.inner.read().expect("interner poisoned").strings[sym.0 as usize]
+        self.read().strings[sym.0 as usize]
     }
 
     /// Number of distinct strings interned.
     pub fn len(&self) -> usize {
-        self.inner.read().expect("interner poisoned").strings.len()
+        self.read().strings.len()
     }
 
     /// Is the interner empty?
@@ -455,14 +406,14 @@ mod tests {
     }
 
     #[test]
-    fn arena_spans_chunks() {
+    fn long_and_many_strings_resolve() {
         let it = Interner::new();
-        let big = "x".repeat(CHUNK_BYTES + 17);
+        let big = "x".repeat(16 * 1024 + 17);
         let huge = it.intern(&big);
         let small = it.intern("small-after-huge");
         assert_eq!(it.resolve(huge), big);
         assert_eq!(it.resolve(small), "small-after-huge");
-        // Fill across several chunk boundaries with distinct strings.
+        // Many distinct strings of varying length.
         let syms: Vec<(Symbol, String)> = (0..4000)
             .map(|i| {
                 let s = format!("chunk-span-{i:04}-{}", "pad".repeat(i % 7));
@@ -472,6 +423,23 @@ mod tests {
         for (sym, s) in &syms {
             assert_eq!(it.resolve(*sym), s);
         }
+    }
+
+    #[test]
+    fn poisoned_lock_still_interns_and_resolves() {
+        let it = Interner::new();
+        let before = it.intern("before-poison");
+        let poisoned = std::panic::catch_unwind(|| {
+            let _guard = it.inner.write().unwrap();
+            panic!("poison the interner lock");
+        });
+        assert!(poisoned.is_err() && it.inner.is_poisoned());
+        let after = it.intern("after-poison");
+        assert_eq!(it.intern("before-poison"), before);
+        assert_eq!(it.lookup("after-poison"), Some(after));
+        assert_eq!(it.resolve(before), "before-poison");
+        assert_eq!(it.resolve(after), "after-poison");
+        assert_eq!(it.len(), 2);
     }
 
     #[test]

@@ -17,6 +17,7 @@
 //! All parsers are total: malformed input yields an error, never a panic.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod arp;
 pub mod dns;

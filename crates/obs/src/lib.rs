@@ -8,8 +8,7 @@
 //!   log-bucketed histograms whose snapshots are **byte-identical** under
 //!   `Parallelism::Off/Fixed(N)/Auto`. Deterministic by construction —
 //!   integer-only values, commutative updates, name-ordered snapshots.
-//!   Enabled by default; disable with [`MetricsRegistry::set_enabled`] for
-//!   overhead measurements.
+//!   The registry always records; it has no on/off switch.
 //! - **Spans** ([`tracer()`], [`Tracer`], [`span!`]): scoped wall-clock
 //!   timing of pipeline stages, exported as Chrome Trace Event Format for
 //!   Perfetto. Timing is inherently nondeterministic, so spans are opt-in
@@ -25,6 +24,7 @@
 //! rule.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 mod clock;
 mod json;
@@ -37,7 +37,7 @@ pub use clock::{Clock, MonotonicClock, VirtualClock};
 pub use ledger::{FileSink, LedgerSink, MemorySink, NullSink};
 pub use metrics::{
     Counter, Gauge, Histogram, HistogramSnapshot, HistogramSummary, MetricValue, MetricsRegistry,
-    MetricsSnapshot, Volatility,
+    MetricsSnapshot,
 };
 pub use openmetrics::{MetricDelta, SnapshotDiff};
 pub use trace::{FieldValue, SpanGuard, SpanRecord, Tracer};

@@ -10,30 +10,33 @@
 //! 1. **Only order-independent updates.** Counters and histograms are sums
 //!    of integer increments; bucket counts, value sums, and min/max are all
 //!    commutative, so the total is the same no matter which worker recorded
-//!    which share. Nothing in the deterministic set records wall-clock time
-//!    or scheduling artifacts.
+//!    which share. No metric records wall-clock time or scheduling
+//!    artifacts (which worker ran what, how many workers ran).
 //! 2. **Deterministic aggregation order.** Sharded storage is merged in
 //!    shard-index order and snapshots list metrics in name order (mirroring
 //!    `behaviot-par`'s input-order join), so even representation-level
 //!    choices (which bucket lines appear, in what order) cannot drift.
 //!
-//! Metrics that are *inherently* scheduling-dependent — executor steals,
-//! per-worker work distribution, worker counts — are registered as
-//! [`Volatility::Volatile`] and excluded from the default snapshot; request
-//! them explicitly with [`MetricsRegistry::snapshot_all`].
+//! There is one metric class: every registered metric obeys both rules and
+//! appears in every snapshot. Recording is always on.
 //!
 //! # Hot-path cost
 //!
-//! A counter increment is one relaxed atomic load (the enabled gate) plus
-//! one relaxed `fetch_add` on a cache-line-padded shard chosen per thread,
-//! so unrelated workers do not contend. Per-packet loops still should not
-//! touch the registry at all: they accumulate locally (e.g. in
-//! `IngestReport`) and publish totals once per run.
+//! A counter increment is one relaxed `fetch_add` on a cache-line-padded
+//! shard chosen per thread, so unrelated workers do not contend. Per-packet
+//! loops still should not touch the registry at all: they accumulate
+//! locally (e.g. in `IngestReport`) and publish totals once per run.
+//!
+//! # Poisoned locks
+//!
+//! The registry lock guards only the name → handle map, which no panic can
+//! leave half-updated, so a lock poisoned by a panicking thread is used as
+//! is: a panic elsewhere never takes the metrics down with it.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
-use std::sync::{Arc, RwLock};
+use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard};
 
 /// Number of shards per counter. Threads are dealt shard indices
 /// round-robin, so up to this many workers increment without sharing a
@@ -43,17 +46,6 @@ const N_SHARDS: usize = 16;
 /// Histogram bucket count: bucket 0 holds exact zeros, bucket `i ≥ 1`
 /// holds values in `[2^(i−1), 2^i)`.
 const N_BUCKETS: usize = 65;
-
-/// Whether a metric is part of the deterministic snapshot contract.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Volatility {
-    /// Identical totals under every thread policy; included in the default
-    /// snapshot.
-    Deterministic,
-    /// Scheduling- or timing-dependent diagnostics (steals, per-worker
-    /// distributions); only in [`MetricsRegistry::snapshot_all`].
-    Volatile,
-}
 
 /// One cache-line-padded atomic cell, so per-thread shards of the same
 /// counter do not false-share.
@@ -77,25 +69,16 @@ fn thread_shard() -> usize {
     })
 }
 
-#[derive(Debug)]
-struct CounterInner {
-    shards: [PaddedU64; N_SHARDS],
-    enabled: Arc<AtomicBool>,
-}
-
 /// A monotonically increasing sum of `u64` increments. Cheap to clone
 /// (shared handle); increments from any thread land on a per-thread shard.
 #[derive(Debug, Clone)]
-pub struct Counter(Arc<CounterInner>);
+pub struct Counter(Arc<[PaddedU64; N_SHARDS]>);
 
 impl Counter {
     /// Add `n` to the counter.
     #[inline]
     pub fn add(&self, n: u64) {
-        if !self.0.enabled.load(Ordering::Relaxed) {
-            return;
-        }
-        self.0.shards[thread_shard()].0.fetch_add(n, Ordering::Relaxed);
+        self.0[thread_shard()].0.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Add 1.
@@ -106,47 +89,34 @@ impl Counter {
 
     /// Current total, merging shards in shard-index order.
     pub fn value(&self) -> u64 {
-        self.0
-            .shards
-            .iter()
-            .map(|s| s.0.load(Ordering::Relaxed))
-            .sum()
+        self.0.iter().map(|s| s.0.load(Ordering::Relaxed)).sum()
     }
 
     fn reset(&self) {
-        for s in &self.0.shards {
+        for s in self.0.iter() {
             s.0.store(0, Ordering::Relaxed);
         }
     }
 }
 
-#[derive(Debug)]
-struct GaugeInner {
-    value: AtomicI64,
-    enabled: Arc<AtomicBool>,
-}
-
-/// A last-write-wins signed value (sizes, configured worker counts).
+/// A last-write-wins signed value (sizes, devices per health state).
 #[derive(Debug, Clone)]
-pub struct Gauge(Arc<GaugeInner>);
+pub struct Gauge(Arc<AtomicI64>);
 
 impl Gauge {
     /// Set the gauge.
     #[inline]
     pub fn set(&self, v: i64) {
-        if !self.0.enabled.load(Ordering::Relaxed) {
-            return;
-        }
-        self.0.value.store(v, Ordering::Relaxed);
+        self.0.store(v, Ordering::Relaxed);
     }
 
     /// Current value.
     pub fn value(&self) -> i64 {
-        self.0.value.load(Ordering::Relaxed)
+        self.0.load(Ordering::Relaxed)
     }
 
     fn reset(&self) {
-        self.0.value.store(0, Ordering::Relaxed);
+        self.0.store(0, Ordering::Relaxed);
     }
 }
 
@@ -156,7 +126,6 @@ struct HistogramInner {
     sum: AtomicU64,
     min: AtomicU64,
     max: AtomicU64,
-    enabled: Arc<AtomicBool>,
 }
 
 /// A log2-bucketed histogram of `u64` values. Bucket 0 counts exact zeros;
@@ -191,9 +160,6 @@ impl Histogram {
     /// Record one value.
     #[inline]
     pub fn record(&self, v: u64) {
-        if !self.0.enabled.load(Ordering::Relaxed) {
-            return;
-        }
         self.0.buckets[bucket_of(v)].fetch_add(1, Ordering::Relaxed);
         self.0.sum.fetch_add(v, Ordering::Relaxed);
         self.0.min.fetch_min(v, Ordering::Relaxed);
@@ -402,104 +368,56 @@ impl MetricsSnapshot {
 ///
 /// A process-global instance is available through
 /// [`crate::metrics`]; unit tests may build private registries.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct MetricsRegistry {
-    enabled: Arc<AtomicBool>,
-    metrics: RwLock<BTreeMap<&'static str, (Metric, Volatility)>>,
-}
-
-impl Default for MetricsRegistry {
-    fn default() -> Self {
-        Self::new()
-    }
+    metrics: RwLock<BTreeMap<&'static str, Metric>>,
 }
 
 impl MetricsRegistry {
-    /// A fresh, enabled registry.
+    /// A fresh, empty registry.
     pub fn new() -> Self {
-        Self {
-            enabled: Arc::new(AtomicBool::new(true)),
-            metrics: RwLock::new(BTreeMap::new()),
-        }
+        Self::default()
     }
 
-    /// Is recording enabled? Disabled registries drop every update at the
-    /// cost of one relaxed load, making instrumented code paths
-    /// effectively free.
-    pub fn enabled(&self) -> bool {
-        self.enabled.load(Ordering::Relaxed)
+    /// Shared access to the name → handle map. No panic can leave the map
+    /// half-updated, so a poisoned lock is used as is.
+    fn read(&self) -> RwLockReadGuard<'_, BTreeMap<&'static str, Metric>> {
+        self.metrics.read().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Enable or disable recording. Registration still works while
-    /// disabled; values simply stop moving.
-    pub fn set_enabled(&self, on: bool) {
-        self.enabled.store(on, Ordering::Relaxed);
-    }
-
-    fn register(&self, name: &'static str, vol: Volatility, make: impl FnOnce(Arc<AtomicBool>) -> Metric) -> Metric {
-        if let Some((m, v)) = self.metrics.read().expect("metrics lock").get(name) {
-            assert_eq!(*v, vol, "metric {name:?} re-registered with different volatility");
+    fn register(&self, name: &'static str, make: impl FnOnce() -> Metric) -> Metric {
+        if let Some(m) = self.read().get(name) {
             return m.clone();
         }
-        let mut map = self.metrics.write().expect("metrics lock");
-        map.entry(name)
-            .or_insert_with(|| (make(self.enabled.clone()), vol))
-            .0
-            .clone()
+        let mut map = self.metrics.write().unwrap_or_else(PoisonError::into_inner);
+        map.entry(name).or_insert_with(make).clone()
     }
 
-    /// Register (or fetch) a deterministic counter.
+    /// Register (or fetch) a counter.
     pub fn counter(&self, name: &'static str) -> Counter {
-        self.counter_with(name, Volatility::Deterministic)
-    }
-
-    /// Register (or fetch) a counter with an explicit volatility class.
-    pub fn counter_with(&self, name: &'static str, vol: Volatility) -> Counter {
-        match self.register(name, vol, |enabled| {
-            Metric::Counter(Counter(Arc::new(CounterInner {
-                shards: Default::default(),
-                enabled,
-            })))
-        }) {
+        match self.register(name, || Metric::Counter(Counter(Default::default()))) {
             Metric::Counter(c) => c,
             m => panic!("metric {name:?} already registered as {}", m.kind()),
         }
     }
 
-    /// Register (or fetch) a deterministic gauge.
+    /// Register (or fetch) a gauge.
     pub fn gauge(&self, name: &'static str) -> Gauge {
-        self.gauge_with(name, Volatility::Deterministic)
-    }
-
-    /// Register (or fetch) a gauge with an explicit volatility class.
-    pub fn gauge_with(&self, name: &'static str, vol: Volatility) -> Gauge {
-        match self.register(name, vol, |enabled| {
-            Metric::Gauge(Gauge(Arc::new(GaugeInner {
-                value: AtomicI64::new(0),
-                enabled,
-            })))
-        }) {
+        match self.register(name, || Metric::Gauge(Gauge(Default::default()))) {
             Metric::Gauge(g) => g,
             m => panic!("metric {name:?} already registered as {}", m.kind()),
         }
     }
 
-    /// Register (or fetch) a deterministic histogram.
+    /// Register (or fetch) a histogram.
     pub fn histogram(&self, name: &'static str) -> Histogram {
-        self.histogram_with(name, Volatility::Deterministic)
-    }
-
-    /// Register (or fetch) a histogram with an explicit volatility class.
-    pub fn histogram_with(&self, name: &'static str, vol: Volatility) -> Histogram {
-        match self.register(name, vol, |enabled| {
-            let h = HistogramInner {
+        match self.register(name, || {
+            Metric::Histogram(Histogram(Arc::new(HistogramInner {
                 buckets: std::array::from_fn(|_| AtomicU64::new(0)),
                 sum: AtomicU64::new(0),
                 min: AtomicU64::new(u64::MAX),
                 max: AtomicU64::new(0),
-                enabled,
-            };
-            Metric::Histogram(Histogram(Arc::new(h)))
+            })))
         }) {
             Metric::Histogram(h) => h,
             m => panic!("metric {name:?} already registered as {}", m.kind()),
@@ -509,7 +427,7 @@ impl MetricsRegistry {
     /// Zero every registered metric, keeping registrations (and shared
     /// handles) valid. Used by tests that compare per-run snapshots.
     pub fn reset(&self) {
-        for (m, _) in self.metrics.read().expect("metrics lock").values() {
+        for m in self.read().values() {
             match m {
                 Metric::Counter(c) => c.reset(),
                 Metric::Gauge(g) => g.reset(),
@@ -518,27 +436,13 @@ impl MetricsRegistry {
         }
     }
 
-    /// Deterministic snapshot: every [`Volatility::Deterministic`] metric,
-    /// in name order. Byte-identical (via
+    /// Every registered metric, in name order. Byte-identical (via
     /// [`MetricsSnapshot::to_jsonl`]) across thread policies.
     pub fn snapshot(&self) -> MetricsSnapshot {
-        self.snapshot_filtered(false)
-    }
-
-    /// Full snapshot including volatile diagnostics (executor steals,
-    /// per-worker distributions). Not covered by the determinism contract.
-    pub fn snapshot_all(&self) -> MetricsSnapshot {
-        self.snapshot_filtered(true)
-    }
-
-    fn snapshot_filtered(&self, include_volatile: bool) -> MetricsSnapshot {
         let entries = self
-            .metrics
             .read()
-            .expect("metrics lock")
             .iter()
-            .filter(|(_, (_, vol))| include_volatile || *vol == Volatility::Deterministic)
-            .map(|(name, (m, _))| {
+            .map(|(name, m)| {
                 let v = match m {
                     Metric::Counter(c) => MetricValue::Counter(c.value()),
                     Metric::Gauge(g) => MetricValue::Gauge(g.value()),
@@ -571,24 +475,6 @@ mod tests {
         });
         assert_eq!(c.value(), 4000);
         assert_eq!(r.snapshot().counter("t.counter"), Some(4000));
-    }
-
-    #[test]
-    fn disabled_registry_drops_updates() {
-        let r = MetricsRegistry::new();
-        let c = r.counter("t.c");
-        let h = r.histogram("t.h");
-        let g = r.gauge("t.g");
-        r.set_enabled(false);
-        c.add(5);
-        h.record(9);
-        g.set(-3);
-        assert_eq!(c.value(), 0);
-        assert_eq!(h.value().count, 0);
-        assert_eq!(g.value(), 0);
-        r.set_enabled(true);
-        c.add(5);
-        assert_eq!(c.value(), 5);
     }
 
     #[test]
@@ -639,18 +525,6 @@ mod tests {
     }
 
     #[test]
-    fn volatile_metrics_excluded_from_default_snapshot() {
-        let r = MetricsRegistry::new();
-        r.counter("a.det").add(1);
-        r.counter_with("a.vol", Volatility::Volatile).add(2);
-        let det = r.snapshot();
-        assert_eq!(det.counter("a.det"), Some(1));
-        assert_eq!(det.counter("a.vol"), None);
-        let all = r.snapshot_all();
-        assert_eq!(all.counter("a.vol"), Some(2));
-    }
-
-    #[test]
     fn jsonl_is_sorted_and_stable() {
         let r = MetricsRegistry::new();
         r.counter("z.last").add(3);
@@ -684,6 +558,25 @@ mod tests {
         assert_eq!(c.value(), 0);
         c.add(2);
         assert_eq!(r.snapshot().counter("t.c"), Some(2));
+    }
+
+    #[test]
+    fn poisoned_lock_still_serves() {
+        let r = MetricsRegistry::new();
+        let before = r.counter("t.before");
+        let poisoned = std::panic::catch_unwind(|| {
+            let _guard = r.metrics.write().unwrap();
+            panic!("poison the registry lock");
+        });
+        assert!(poisoned.is_err() && r.metrics.is_poisoned());
+        let after = r.counter("t.after");
+        before.add(2);
+        after.inc();
+        let snap = r.snapshot();
+        assert_eq!(snap.counter("t.before"), Some(2));
+        assert_eq!(snap.counter("t.after"), Some(1));
+        r.reset();
+        assert_eq!(r.snapshot().counter("t.before"), Some(0));
     }
 
     #[test]

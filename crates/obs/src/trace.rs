@@ -14,7 +14,7 @@
 //! to create.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock};
 
 use crate::clock::{Clock, MonotonicClock};
 
@@ -116,7 +116,7 @@ impl std::fmt::Debug for Tracer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Tracer")
             .field("enabled", &self.enabled())
-            .field("spans", &self.spans.lock().expect("span lock").len())
+            .field("spans", &self.spans().len())
             .finish()
     }
 }
@@ -129,7 +129,7 @@ impl Default for Tracer {
 
 impl Tracer {
     /// A disabled tracer on a [`MonotonicClock`]. Tracing is opt-in
-    /// (`--trace` / `BEHAVIOT_TRACE`), unlike metrics which default on.
+    /// (`--trace` / `BEHAVIOT_TRACE`), unlike metrics, which always record.
     pub fn new() -> Self {
         Self {
             enabled: AtomicBool::new(false),
@@ -151,7 +151,22 @@ impl Tracer {
 
     /// Replace the time source (tests install a [`crate::VirtualClock`]).
     pub fn set_clock(&self, clock: Arc<dyn Clock>) {
-        *self.clock.write().expect("clock lock") = clock;
+        *self.clock.write().unwrap_or_else(PoisonError::into_inner) = clock;
+    }
+
+    /// Read the clock. Swapping an `Arc` cannot be left half-done, so a
+    /// poisoned lock is used as is.
+    fn now_ns(&self) -> u64 {
+        self.clock
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .now_ns()
+    }
+
+    /// The span buffer. A panic cannot leave the `Vec` half-updated, so a
+    /// poisoned lock is used as is.
+    fn spans(&self) -> MutexGuard<'_, Vec<SpanRecord>> {
+        self.spans.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Open a span. The returned guard records on drop; inert (and nearly
@@ -170,7 +185,7 @@ impl Tracer {
         if !self.enabled() {
             return SpanGuard::inactive();
         }
-        let start_ns = self.clock.read().expect("clock lock").now_ns();
+        let start_ns = self.now_ns();
         SpanGuard {
             tracer: Some(self),
             name,
@@ -181,16 +196,16 @@ impl Tracer {
 
     /// Take all recorded spans, leaving the buffer empty.
     pub fn take_spans(&self) -> Vec<SpanRecord> {
-        std::mem::take(&mut *self.spans.lock().expect("span lock"))
+        std::mem::take(&mut *self.spans())
     }
 
     /// Discard all recorded spans.
     pub fn clear(&self) {
-        self.spans.lock().expect("span lock").clear();
+        self.spans().clear();
     }
 
     fn finish(&self, name: &'static str, start_ns: u64, fields: Vec<(&'static str, FieldValue)>) {
-        let end_ns = self.clock.read().expect("clock lock").now_ns();
+        let end_ns = self.now_ns();
         let rec = SpanRecord {
             name,
             tid: thread_ordinal(),
@@ -198,7 +213,7 @@ impl Tracer {
             dur_ns: end_ns.saturating_sub(start_ns),
             fields,
         };
-        self.spans.lock().expect("span lock").push(rec);
+        self.spans().push(rec);
     }
 
     /// Render all recorded spans (without draining them) as a Chrome Trace
@@ -206,7 +221,7 @@ impl Tracer {
     /// Perfetto / `chrome://tracing`. Timestamps are microseconds with
     /// nanosecond precision kept as three decimals.
     pub fn export_chrome(&self) -> String {
-        let spans = self.spans.lock().expect("span lock");
+        let spans = self.spans();
         let mut out = String::from("[");
         for (i, s) in spans.iter().enumerate() {
             if i > 0 {

@@ -1,14 +1,12 @@
-//! Deterministic work-stealing parallel executor for the BehavIoT
-//! train/infer pipeline.
+//! Deterministic parallel executor for the BehavIoT train/infer pipeline.
 //!
 //! The pipeline is embarrassingly parallel by construction: periodic-model
 //! training, period detection, and user-action forests are all built per
 //! `(device, traffic-group)` over the testbed. This crate provides the one
-//! primitive they all need — a *deterministic parallel map*: work items are
-//! sharded into chunks, distributed over scoped worker threads with
-//! work-stealing (each worker owns a deque of chunks; idle workers steal
-//! from the back of the busiest victim), and every result is written to the
-//! slot of its input index. The output is therefore **byte-identical to the
+//! primitive they all need — a *deterministic parallel map*: the input is
+//! cut into contiguous chunks, scoped worker threads claim the next
+//! unclaimed chunk from a shared cursor, and the caller joins the chunks
+//! back in input order. The output is therefore **byte-identical to the
 //! serial map** whenever the per-item function is itself deterministic,
 //! which makes `threads: off` a debugging/equivalence mode rather than a
 //! different code path.
@@ -18,26 +16,19 @@
 //! it without cycles.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
-use std::cell::UnsafeCell;
-use std::collections::VecDeque;
 use std::str::FromStr;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::OnceLock;
 
-use behaviot_obs::{Counter, Gauge, Histogram, Volatility};
+use behaviot_obs::Counter;
 
-/// Executor metrics. `par.maps` / `par.items` are counted before the
-/// thread-count branch, so their totals are identical under every
-/// [`Parallelism`] policy. Steal counts and per-worker distributions are
-/// scheduling artifacts and therefore [`Volatility::Volatile`] — excluded
-/// from the deterministic snapshot.
+/// Executor metrics, counted before the thread-count branch, so their
+/// totals are identical under every [`Parallelism`] policy.
 struct ParMetrics {
     maps: Counter,
     items: Counter,
-    steals: Counter,
-    workers: Gauge,
-    worker_items: Histogram,
 }
 
 fn par_metrics() -> &'static ParMetrics {
@@ -47,9 +38,6 @@ fn par_metrics() -> &'static ParMetrics {
         ParMetrics {
             maps: r.counter("par.maps"),
             items: r.counter("par.items"),
-            steals: r.counter_with("par.steals", Volatility::Volatile),
-            workers: r.gauge_with("par.workers", Volatility::Volatile),
-            worker_items: r.histogram_with("par.worker_items", Volatility::Volatile),
         }
     })
 }
@@ -115,41 +103,12 @@ impl std::fmt::Display for Parallelism {
     }
 }
 
-/// One result slot. Safety: each slot index is claimed by exactly one chunk
-/// and each chunk is executed by exactly one worker, so a slot is written at
-/// most once and only read after the scope joins all workers.
-struct Slot<U>(UnsafeCell<Option<U>>);
-
-// SAFETY: see `Slot` — disjoint-index writes, reads only after join.
-unsafe impl<U: Send> Sync for Slot<U> {}
-
-/// A half-open range of item indices owned by one worker's deque.
-type Chunk = std::ops::Range<usize>;
-
-/// Per-worker state: a deque of chunks. The owner pops from the front,
-/// thieves steal from the back (largest remaining runs of work), which keeps
-/// owner locality and makes steals coarse.
-struct WorkerQueue {
-    deque: Mutex<VecDeque<Chunk>>,
-}
-
 /// Deterministic parallel map preserving input order:
-/// `out[i] == f(i, &items[i])` for every `i`, regardless of thread count.
+/// `out[i] == f(&items[i])` for every `i`, regardless of thread count.
 ///
-/// Work is split into chunks of roughly `len / (threads * 4)` items
-/// (at least 1), dealt round-robin to the worker deques, and executed with
-/// work-stealing. With `Parallelism::Off`, one worker thread count, or a
-/// single item, the map runs serially on the calling thread.
-pub fn par_map_indexed<T, U, F>(par: Parallelism, items: &[T], f: F) -> Vec<U>
-where
-    T: Sync,
-    U: Send,
-    F: Fn(usize, &T) -> U + Sync,
-{
-    par_map_init(par, items, || (), |(), i, item| f(i, item))
-}
-
-/// [`par_map_indexed`] without the index argument.
+/// With `Parallelism::Off`, one worker thread, or at most one item, the map
+/// runs serially on the calling thread. A panic in `f` reaches the caller
+/// with its own payload.
 pub fn par_map<T, U, F>(par: Parallelism, items: &[T], f: F) -> Vec<U>
 where
     T: Sync,
@@ -159,7 +118,7 @@ where
     par_map_init(par, items, || (), |(), _, item| f(item))
 }
 
-/// Deterministic parallel map with per-worker scratch state.
+/// [`par_map`] with per-worker scratch state and the item index.
 ///
 /// `init` builds one scratch value per worker thread (e.g. preallocated FFT
 /// buffers); `f` receives the worker's scratch, the item index, and the
@@ -177,7 +136,6 @@ where
     m.maps.inc();
     m.items.add(n as u64);
     let threads = par.threads().min(n.max(1));
-    m.workers.set(threads as i64);
     if threads <= 1 || n <= 1 {
         let mut scratch = init();
         return items
@@ -187,95 +145,51 @@ where
             .collect();
     }
 
-    // Shard into chunks: fine enough that uneven items balance via
-    // stealing, coarse enough that deque traffic stays negligible.
-    let chunk_size = n.div_ceil(threads * 4).max(1);
-    let queues: Vec<WorkerQueue> = (0..threads)
-        .map(|_| WorkerQueue {
-            deque: Mutex::new(VecDeque::new()),
-        })
-        .collect();
-    for (c, start) in (0..n).step_by(chunk_size).enumerate() {
-        let chunk = start..(start + chunk_size).min(n);
-        queues[c % threads]
-            .deque
-            .lock()
-            .expect("queue poisoned")
-            .push_back(chunk);
-    }
-
-    let slots: Vec<Slot<U>> = (0..n).map(|_| Slot(UnsafeCell::new(None))).collect();
-    // Unclaimed items. Decremented when a chunk is *claimed* (popped), not
-    // when it finishes: once zero, every chunk has an owner, so idle workers
-    // exit instead of spinning — including when an owner panics, which would
-    // otherwise leave its count in place and livelock the siblings until the
-    // scope's join. Slot writes are published by the scope join, not by this
-    // counter.
-    let remaining = AtomicUsize::new(n);
-
-    std::thread::scope(|s| {
-        for w in 0..threads {
-            let queues = &queues;
-            let slots = &slots;
-            let remaining = &remaining;
-            let f = &f;
-            let init = &init;
-            s.spawn(move || {
-                let mut scratch = init();
-                let mut done_items = 0u64;
-                let mut run = |chunk: Chunk| {
-                    remaining.fetch_sub(chunk.len(), Ordering::Release);
-                    done_items += chunk.len() as u64;
-                    for i in chunk {
-                        let v = f(&mut scratch, i, &items[i]);
-                        // SAFETY: index `i` belongs to exactly one chunk and
-                        // this worker owns the chunk; no other thread
-                        // touches slot `i` until after the scope joins.
-                        unsafe { *slots[i].0.get() = Some(v) };
-                    }
-                };
-                loop {
-                    // Drain our own deque from the front...
-                    let own = queues[w].deque.lock().expect("queue poisoned").pop_front();
-                    if let Some(chunk) = own {
-                        run(chunk);
-                        continue;
-                    }
-                    // ...then steal from the back of the fullest victim.
-                    if remaining.load(Ordering::Acquire) == 0 {
-                        break;
-                    }
-                    let victim = (0..threads)
-                        .filter(|&v| v != w)
-                        .max_by_key(|&v| queues[v].deque.lock().expect("queue poisoned").len());
-                    let stolen = victim.and_then(|v| {
-                        queues[v].deque.lock().expect("queue poisoned").pop_back()
-                    });
-                    match stolen {
-                        Some(chunk) => {
-                            m.steals.inc();
-                            run(chunk)
-                        }
-                        // Nothing to steal: another worker is finishing the
-                        // last chunks. Yield and re-check until done.
-                        None => std::thread::yield_now(),
-                    }
-                }
-                m.worker_items.record(done_items);
-            });
+    // About four contiguous chunks per worker: fine enough that idle
+    // workers take up the slack behind a slow item, coarse enough that the
+    // shared cursor is touched rarely. Each worker claims the next
+    // unclaimed chunk until the cursor passes the end. The cursor only
+    // hands out disjoint ranges and the join publishes the results, so
+    // `Relaxed` is enough.
+    let chunk_size = n.div_ceil(threads * 4);
+    let cursor = AtomicUsize::new(0);
+    let worker = || {
+        let mut scratch = init();
+        let mut done = Vec::new();
+        loop {
+            let start = cursor.fetch_add(chunk_size, Ordering::Relaxed);
+            if start >= n {
+                return done;
+            }
+            let end = (start + chunk_size).min(n);
+            let out: Vec<U> = (start..end)
+                .map(|i| f(&mut scratch, i, &items[i]))
+                .collect();
+            done.push((start, out));
         }
+    };
+    let mut chunks: Vec<(usize, Vec<U>)> = std::thread::scope(|s| {
+        let handles: Vec<_> = (0..threads).map(|_| s.spawn(worker)).collect();
+        let mut chunks = Vec::new();
+        for h in handles {
+            // Re-raise a worker's own panic: left unjoined, the scope would
+            // replace it with a generic "a scoped thread panicked".
+            chunks.extend(h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)));
+        }
+        chunks
     });
 
-    slots
-        .into_iter()
-        .map(|slot| slot.0.into_inner().expect("unfilled parallel map slot"))
-        .collect()
+    chunks.sort_unstable_by_key(|&(start, _)| start);
+    let mut out = Vec::with_capacity(n);
+    for (_, part) in chunks {
+        out.extend(part);
+    }
+    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
     fn parses_policy() {
@@ -307,12 +221,17 @@ mod tests {
     #[test]
     fn indexed_map_sees_correct_indices() {
         let items = vec!["a", "b", "c", "d", "e"];
-        let got = par_map_indexed(Parallelism::Fixed(2), &items, |i, s| format!("{i}:{s}"));
+        let got = par_map_init(
+            Parallelism::Fixed(2),
+            &items,
+            || (),
+            |(), i, s| format!("{i}:{s}"),
+        );
         assert_eq!(got, vec!["0:a", "1:b", "2:c", "3:d", "4:e"]);
     }
 
     #[test]
-    fn uneven_work_is_stolen() {
+    fn uneven_work_is_spread() {
         // One pathologically slow item; the rest must be spread across
         // workers rather than serialized behind it.
         let items: Vec<usize> = (0..64).collect();
@@ -367,5 +286,46 @@ mod tests {
             })
         });
         assert!(res.is_err());
+    }
+
+    #[test]
+    fn worker_panic_keeps_its_message() {
+        let items: Vec<usize> = (0..32).collect();
+        let err = std::panic::catch_unwind(|| {
+            par_map(Parallelism::Fixed(2), &items, |&x| {
+                if x == 17 {
+                    panic!("boom at {x}");
+                }
+                x
+            })
+        })
+        .unwrap_err();
+        assert_eq!(
+            err.downcast_ref::<String>().map(String::as_str),
+            Some("boom at 17")
+        );
+    }
+
+    #[test]
+    fn every_size_and_thread_count_matches_serial() {
+        // Covers fewer items than workers and a short last chunk.
+        for threads in [2, 3, 4, 8] {
+            for n in 0..=70usize {
+                let items: Vec<usize> = (100..100 + n).collect();
+                let inits = AtomicUsize::new(0);
+                let got = par_map_init(
+                    Parallelism::Fixed(threads),
+                    &items,
+                    || inits.fetch_add(1, Ordering::Relaxed),
+                    |_, i, &x| (i, x),
+                );
+                let expect: Vec<(usize, usize)> = items.iter().copied().enumerate().collect();
+                assert_eq!(got, expect, "n={n} threads={threads}");
+                assert!(
+                    inits.load(Ordering::Relaxed) <= threads,
+                    "n={n} threads={threads}"
+                );
+            }
+        }
     }
 }

@@ -22,6 +22,7 @@
 //! behavior; and it is far more compact than the sequence-graph baseline.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod invariants;
 pub mod model;

@@ -23,6 +23,7 @@
 //! Everything is reproducible from a `u64` seed.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod automation;
 pub mod catalog;

@@ -32,6 +32,7 @@
 //! any other version fails to load with [`StoreError::BadVersion`].
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod format;
 
