@@ -12,6 +12,7 @@
 //! counts and reports drop fraction vs. deviation of the inferred event
 //! table from the fault-free run (the EXPERIMENTS.md numbers).
 use behaviot::{BehavIoT, TrainConfig, TrainingData};
+use behaviot_bench::flag_from_args;
 use behaviot_flows::ingest::{ingest_pcap_bytes, IngestOptions};
 use behaviot_flows::{assemble_flows, classify_frame, FlowConfig, FrameClass};
 use behaviot_net::pcap::PcapRecord;
@@ -27,62 +28,63 @@ struct Args {
     sweep: bool,
 }
 
+/// Flags that take a value. The observability ones are read by
+/// `ObsSession::from_args`; they are listed so the parser stays strict.
+const VALUE_FLAGS: [&str; 7] = [
+    "--seeds",
+    "--faults",
+    "--max-drop-frac",
+    "--trace",
+    "--metrics-out",
+    "--ledger-out",
+    "--openmetrics-out",
+];
+
+/// `flag`'s value parsed as a `T`; `what` names the expected form in the
+/// error.
+fn parsed<T: std::str::FromStr>(flag: &str, what: &str) -> Option<T> {
+    flag_from_args(flag).map(|v| {
+        v.parse().unwrap_or_else(|_| {
+            eprintln!("{flag} requires {what}");
+            std::process::exit(2);
+        })
+    })
+}
+
 fn parse_args() -> Args {
+    let seeds = parsed("--seeds", "an integer").unwrap_or(3);
+    let faults = parsed("--faults", "an integer").unwrap_or(24);
+    let max_drop_frac: Option<f64> = parsed("--max-drop-frac", "a number in [0, 1]");
+    if max_drop_frac.is_some_and(|v| !(0.0..=1.0).contains(&v)) {
+        eprintln!("--max-drop-frac requires a number in [0, 1]");
+        std::process::exit(2);
+    }
     let mut out = Args {
-        seeds: 3,
-        faults: 24,
-        max_drop_frac: None,
+        seeds,
+        faults,
+        max_drop_frac,
         sweep: false,
     };
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        let mut value_of = |flag: &str| {
-            args.next().unwrap_or_else(|| {
-                eprintln!("{flag} requires a value");
-                std::process::exit(2);
-            })
-        };
-        match a.as_str() {
-            "--seeds" => {
-                out.seeds = value_of("--seeds").parse().unwrap_or_else(|_| {
-                    eprintln!("--seeds requires an integer");
-                    std::process::exit(2);
-                });
-            }
-            "--faults" => {
-                out.faults = value_of("--faults").parse().unwrap_or_else(|_| {
-                    eprintln!("--faults requires an integer");
-                    std::process::exit(2);
-                });
-            }
-            "--max-drop-frac" => {
-                let v: f64 = value_of("--max-drop-frac").parse().unwrap_or_else(|_| {
-                    eprintln!("--max-drop-frac requires a number in [0, 1]");
-                    std::process::exit(2);
-                });
-                if !(0.0..=1.0).contains(&v) {
-                    eprintln!("--max-drop-frac requires a number in [0, 1]");
-                    std::process::exit(2);
-                }
-                out.max_drop_frac = Some(v);
-            }
-            "--sweep" => out.sweep = true,
-            // Observability destinations: values are consumed here to keep
-            // the parser strict; ObsSession::from_args reads them itself.
-            "--trace" => {
-                let _ = value_of("--trace");
-            }
-            "--metrics-out" => {
-                let _ = value_of("--metrics-out");
-            }
-            other => {
-                eprintln!("unknown argument: {other}");
-                eprintln!(
-                    "usage: chaos [--seeds N] [--faults N] [--max-drop-frac F] [--sweep] \
-                     [--trace PATH] [--metrics-out PATH]"
-                );
-                std::process::exit(2);
-            }
+    // Every value is well-formed by now, so a separate-form flag is always
+    // followed by its value.
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let mut rest = args.iter();
+    while let Some(a) = rest.next() {
+        if a == "--sweep" {
+            out.sweep = true;
+        } else if VALUE_FLAGS.contains(&a.as_str()) {
+            rest.next();
+        } else if !VALUE_FLAGS
+            .iter()
+            .any(|f| a.strip_prefix(f).is_some_and(|v| v.starts_with('=')))
+        {
+            eprintln!("unknown argument: {a}");
+            eprintln!(
+                "usage: chaos [--seeds N] [--faults N] [--max-drop-frac F] [--sweep] \
+                 [--trace PATH] [--metrics-out PATH] [--ledger-out PATH] \
+                 [--openmetrics-out PATH]"
+            );
+            std::process::exit(2);
         }
     }
     out

@@ -21,7 +21,9 @@
 
 use behaviot::system::{traces_from_events_syms, SystemModel, SystemModelConfig};
 use behaviot::{HealthConfig, HealthState, HealthTransition, Monitor, MonitorConfig};
-use behaviot_bench::{parallelism_from_args, scale_from_args, ObsSession, Prepared};
+use behaviot_bench::{
+    flag_from_args, parallelism_from_args, scale_from_args, ObsSession, Prepared,
+};
 use behaviot_flows::{assemble_flows, FlowConfig};
 use behaviot_intern::Symbol;
 use behaviot_obs::SnapshotDiff;
@@ -29,36 +31,17 @@ use behaviot_sim::{self as sim, ExpectedSignal, IncidentScript, UncontrolledConf
 use behaviot_store::{ModelStore, SnapshotSpec};
 use std::fmt::Write as _;
 
-fn arg_value(name: &str) -> Option<String> {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == name {
-            match args.next() {
-                Some(v) => return Some(v),
-                None => {
-                    eprintln!("{name} requires a value");
-                    std::process::exit(2);
-                }
-            }
-        }
-        if let Some(v) = a.strip_prefix(&format!("{name}=")) {
-            return Some(v.to_string());
-        }
-    }
-    None
-}
-
 fn main() {
     let obs = ObsSession::from_args();
     let par = parallelism_from_args();
     let mut scale = scale_from_args();
-    if let Some(days) = arg_value("--days") {
+    if let Some(days) = flag_from_args("--days") {
         scale.uncontrolled_days = days.parse().unwrap_or_else(|e| {
             eprintln!("invalid --days {days:?}: {e}");
             std::process::exit(2);
         });
     }
-    let store_dir = arg_value("--store");
+    let store_dir = flag_from_args("--store");
 
     // Restore the monitor from the store when possible, train it otherwise.
     let catalog = sim::Catalog::standard();

@@ -5,7 +5,7 @@
 
 use crate::prep::{time_folds, Prepared};
 use crate::report::{pct, table};
-use behaviot::periodic::{PeriodicClassifier, PeriodicModelSet, PeriodicTrainConfig};
+use behaviot::periodic::{PeriodicModelSet, PeriodicTimers, PeriodicTrainConfig};
 use behaviot::system::{traces_from_events_syms, SystemModel, SystemModelConfig};
 use behaviot_intern::Symbol;
 use behaviot_flows::{assemble_flows, FlowConfig};
@@ -34,12 +34,11 @@ fn timer_vs_dbscan(p: &Prepared) -> String {
     let train_flows: Vec<_> = folds[0].iter().map(|l| l.flow.clone()).collect();
     let models = PeriodicModelSet::train(&train_flows, &PeriodicTrainConfig::default());
     let eval = |timer_only: bool| -> f64 {
-        let mut clf = PeriodicClassifier::new(&models);
-        clf.timer_only = timer_only;
+        let mut timers = PeriodicTimers::new();
         let mut truth = 0usize;
         let mut ok = 0usize;
         for l in &folds[1] {
-            let is_periodic = clf.classify(&l.flow);
+            let is_periodic = timers.classify(&models, &l.flow, timer_only);
             if matches!(l.label, Some(TruthLabel::Periodic(..))) {
                 truth += 1;
                 if is_periodic {

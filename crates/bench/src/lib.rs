@@ -15,7 +15,7 @@ pub mod report;
 pub mod smoke;
 
 pub use behaviot_par::Parallelism;
-pub use obs::ObsSession;
+pub use obs::{flag_from_args, ObsSession};
 pub use prep::{Prepared, Scale};
 
 /// Parse the common CLI convention of the experiment binaries: `--quick`
@@ -34,27 +34,11 @@ pub fn scale_from_args() -> Scale {
 /// variable, then to `auto`. Every policy produces identical results; `off`
 /// pins the whole run to one thread for timing baselines and debugging.
 pub fn parallelism_from_args() -> Parallelism {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        let value = if a == "--threads" {
-            let v = args.next();
-            if v.is_none() {
-                eprintln!("--threads requires a value: auto|off|N");
-                std::process::exit(2);
-            }
-            v
-        } else {
-            a.strip_prefix("--threads=").map(str::to_string)
-        };
-        if let Some(v) = value {
-            match v.parse() {
-                Ok(p) => return p,
-                Err(e) => {
-                    eprintln!("invalid --threads {v:?}: {e}");
-                    std::process::exit(2);
-                }
-            }
-        }
-    }
-    Parallelism::from_env()
+    let Some(v) = flag_from_args("--threads") else {
+        return Parallelism::from_env();
+    };
+    v.parse().unwrap_or_else(|e| {
+        eprintln!("invalid --threads {v:?}: {e}");
+        std::process::exit(2);
+    })
 }

@@ -1,6 +1,8 @@
-//! CLI plumbing for observability: `--trace <path>`, `--metrics-out <path>`,
-//! `--ledger-out <path>`, `--openmetrics-out <path>` and the
-//! `BEHAVIOT_TRACE` environment variable, shared by every experiment binary.
+//! CLI plumbing shared by every experiment binary: the one `--flag VALUE`
+//! parser ([`flag_from_args`]), and the observability outputs `--trace
+//! <path>`, `--metrics-out <path>`, `--ledger-out <path>`,
+//! `--openmetrics-out <path>` with the `BEHAVIOT_TRACE` environment
+//! variable.
 //!
 //! Construct an [`ObsSession`] at the top of `main` (it enables span
 //! recording if a trace destination was requested) and call
@@ -23,75 +25,64 @@ pub struct ObsSession {
     openmetrics_path: Option<PathBuf>,
 }
 
-/// The value `args[i]` gives `flag`: `Ok(None)` when `args[i]` is some
-/// other argument. In the separate form (`--flag VALUE`) a missing value,
-/// or one that is itself a flag (`--…`), is an error; the `--flag=VALUE`
-/// form takes its value as written.
-fn flag_value(args: &[String], i: usize, flag: &str) -> Result<Option<String>, String> {
-    let a = &args[i];
-    if a == flag {
-        match args.get(i + 1) {
-            Some(v) if !v.starts_with("--") => Ok(Some(v.clone())),
-            _ => Err(format!("{flag} requires a path")),
-        }
-    } else {
-        Ok(a.strip_prefix(&format!("{flag}=")).map(str::to_string))
+/// The value `flag` takes in `args` by [`flag_from_args`]'s rule,
+/// `Ok(None)` when it is absent.
+fn flag_value(args: &[String], flag: &str) -> Result<Option<String>, String> {
+    let eq = format!("{flag}=");
+    let mut found = None;
+    for (i, a) in args.iter().enumerate() {
+        let v = if a == flag {
+            match args.get(i + 1) {
+                Some(v) if !v.starts_with("--") => v.as_str(),
+                _ => return Err(format!("{flag} requires a value")),
+            }
+        } else if let Some(v) = a.strip_prefix(&eq) {
+            v
+        } else {
+            continue;
+        };
+        found = found.or_else(|| Some(v.to_string()));
     }
+    Ok(found)
+}
+
+/// The value of `flag` in the process arguments: the one `--flag VALUE`
+/// parser of every binary. The first occurrence wins. In the separate form
+/// (`--flag VALUE`) a missing value, or one that is itself a flag (`--…`),
+/// ends the process with exit status 2 at any occurrence; the
+/// `--flag=VALUE` form takes its value as written.
+pub fn flag_from_args(flag: &str) -> Option<String> {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    flag_value(&args, flag).unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(2);
+    })
 }
 
 impl ObsSession {
-    /// Parse `--trace <path>` / `--trace=<path>` and `--metrics-out <path>`
-    /// / `--metrics-out=<path>` from the process arguments; the `BEHAVIOT_TRACE`
-    /// environment variable supplies the trace path when the flag is absent.
-    /// Enables span recording on the global tracer iff a trace destination
-    /// was requested (metrics recording is on by default regardless).
+    /// Parse `--trace`, `--metrics-out`, `--ledger-out` and
+    /// `--openmetrics-out` from the process arguments ([`flag_from_args`]);
+    /// the `BEHAVIOT_TRACE` environment variable supplies the trace path
+    /// when the flag is absent. Enables span recording on the global tracer
+    /// iff a trace destination was requested (metrics recording is on by
+    /// default regardless).
     pub fn from_args() -> Self {
-        let args: Vec<String> = std::env::args().skip(1).collect();
-        let mut trace_path: Option<PathBuf> = None;
-        let mut metrics_path: Option<PathBuf> = None;
-        let mut ledger_path: Option<PathBuf> = None;
-        let mut openmetrics_path: Option<PathBuf> = None;
-        for i in 0..args.len() {
-            for (flag, path) in [
-                ("--trace", &mut trace_path),
-                ("--metrics-out", &mut metrics_path),
-                ("--ledger-out", &mut ledger_path),
-                ("--openmetrics-out", &mut openmetrics_path),
-            ] {
-                match flag_value(&args, i, flag) {
-                    Ok(Some(v)) => *path = Some(PathBuf::from(v)),
-                    Ok(None) => {}
-                    Err(e) => {
-                        eprintln!("{e}");
-                        std::process::exit(2);
-                    }
-                }
-            }
-        }
-        if trace_path.is_none() {
-            if let Ok(v) = std::env::var("BEHAVIOT_TRACE") {
-                if !v.is_empty() {
-                    trace_path = Some(PathBuf::from(v));
-                }
-            }
-        }
+        let path = |flag: &str| flag_from_args(flag).map(PathBuf::from);
+        let trace_path = path("--trace").or_else(|| {
+            std::env::var("BEHAVIOT_TRACE")
+                .ok()
+                .filter(|v| !v.is_empty())
+                .map(PathBuf::from)
+        });
         if trace_path.is_some() {
             behaviot_obs::tracer().set_enabled(true);
         }
         Self {
             trace_path,
-            metrics_path,
-            ledger_path,
-            openmetrics_path,
+            metrics_path: path("--metrics-out"),
+            ledger_path: path("--ledger-out"),
+            openmetrics_path: path("--openmetrics-out"),
         }
-    }
-
-    /// Is any observability output destination active?
-    pub fn active(&self) -> bool {
-        self.trace_path.is_some()
-            || self.metrics_path.is_some()
-            || self.ledger_path.is_some()
-            || self.openmetrics_path.is_some()
     }
 
     /// The deviation-ledger destination: a buffered [`FileSink`] when
@@ -167,22 +158,59 @@ mod tests {
     fn separate_value_that_is_a_flag_is_a_missing_path() {
         let a = args(&["--trace", "--metrics-out", "m"]);
         assert_eq!(
-            flag_value(&a, 0, "--trace"),
-            Err("--trace requires a path".into())
+            flag_value(&a, "--trace"),
+            Err("--trace requires a value".into())
         );
-        assert_eq!(flag_value(&a, 1, "--metrics-out"), Ok(Some("m".into())));
-        assert_eq!(flag_value(&a, 1, "--trace"), Ok(None));
+        assert_eq!(flag_value(&a, "--metrics-out"), Ok(Some("m".into())));
+        assert_eq!(flag_value(&a[1..], "--trace"), Ok(None));
         let dangling = args(&["--ledger-out"]);
         assert_eq!(
-            flag_value(&dangling, 0, "--ledger-out"),
-            Err("--ledger-out requires a path".into())
+            flag_value(&dangling, "--ledger-out"),
+            Err("--ledger-out requires a value".into())
         );
     }
 
     #[test]
     fn equals_form_takes_its_value_as_written() {
         let a = args(&["--trace=--x"]);
-        assert_eq!(flag_value(&a, 0, "--trace"), Ok(Some("--x".into())));
-        assert_eq!(flag_value(&a, 0, "--metrics-out"), Ok(None));
+        assert_eq!(flag_value(&a, "--trace"), Ok(Some("--x".into())));
+        assert_eq!(flag_value(&a, "--metrics-out"), Ok(None));
+    }
+
+    #[test]
+    fn a_flag_never_takes_the_next_flag_as_its_value() {
+        let a = args(&[
+            "--quick",
+            "--days",
+            "2",
+            "--store",
+            "--ledger-out",
+            "l.jsonl",
+        ]);
+        assert_eq!(
+            flag_value(&a, "--store"),
+            Err("--store requires a value".into())
+        );
+        assert_eq!(flag_value(&a, "--days"), Ok(Some("2".into())));
+        assert_eq!(flag_value(&a, "--ledger-out"), Ok(Some("l.jsonl".into())));
+        let a = args(&["--threads", "--quick"]);
+        assert_eq!(
+            flag_value(&a, "--threads"),
+            Err("--threads requires a value".into())
+        );
+    }
+
+    #[test]
+    fn first_occurrence_wins_and_every_occurrence_is_checked() {
+        let a = args(&["--threads=2", "--threads", "off"]);
+        assert_eq!(flag_value(&a, "--threads"), Ok(Some("2".into())));
+        let a = args(&["--threads", "2", "--threads"]);
+        assert_eq!(
+            flag_value(&a, "--threads"),
+            Err("--threads requires a value".into())
+        );
+        // A prefix of a longer flag is a different flag.
+        let a = args(&["--threadsx=3", "--threads-max", "4"]);
+        assert_eq!(flag_value(&a, "--threads"), Ok(None));
     }
 }

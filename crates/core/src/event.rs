@@ -2,36 +2,7 @@
 
 use behaviot_intern::Symbol;
 use behaviot_net::Proto;
-use std::fmt;
 use std::net::Ipv4Addr;
-
-/// A device is keyed by its LAN address (the only identity a gateway
-/// observer has); a human-readable name can be attached for reporting.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct DeviceKey {
-    /// LAN address.
-    pub ip: Ipv4Addr,
-    /// Optional display name (e.g. from a device inventory).
-    pub name: Option<String>,
-}
-
-impl DeviceKey {
-    /// Key with no name.
-    pub fn from_ip(ip: Ipv4Addr) -> Self {
-        Self { ip, name: None }
-    }
-
-    /// Display label: the name if known, else the address.
-    pub fn label(&self) -> String {
-        self.name.clone().unwrap_or_else(|| self.ip.to_string())
-    }
-}
-
-impl fmt::Display for DeviceKey {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.label())
-    }
-}
 
 /// The three disjoint event classes of §4.1.
 ///
@@ -83,6 +54,19 @@ pub struct InferredEvent {
     pub kind: EventKind,
 }
 
+/// PFSM label of `device`'s user `activity`: `"<device>:<activity>"`, with
+/// the device rendered through `names` when available.
+pub(crate) fn user_label(
+    device: Ipv4Addr,
+    activity: Symbol,
+    names: &std::collections::HashMap<Ipv4Addr, String>,
+) -> String {
+    match names.get(&device) {
+        Some(name) => format!("{name}:{activity}"),
+        None => format!("{device}:{activity}"),
+    }
+}
+
 impl InferredEvent {
     /// PFSM label for user events: `"<device>:<activity>"`, with the device
     /// rendered through `names` when available.
@@ -90,14 +74,8 @@ impl InferredEvent {
         &self,
         names: &std::collections::HashMap<Ipv4Addr, String>,
     ) -> Option<String> {
-        match &self.kind {
-            EventKind::User { activity, .. } => {
-                let dev = names
-                    .get(&self.device)
-                    .cloned()
-                    .unwrap_or_else(|| self.device.to_string());
-                Some(format!("{dev}:{activity}"))
-            }
+        match self.kind {
+            EventKind::User { activity, .. } => Some(user_label(self.device, activity, names)),
             _ => None,
         }
     }
@@ -118,17 +96,6 @@ impl InferredEvent {
 mod tests {
     use super::*;
     use std::collections::HashMap;
-
-    #[test]
-    fn device_key_label() {
-        let k = DeviceKey::from_ip(Ipv4Addr::new(192, 168, 1, 10));
-        assert_eq!(k.label(), "192.168.1.10");
-        let k2 = DeviceKey {
-            ip: k.ip,
-            name: Some("TPLink Plug".into()),
-        };
-        assert_eq!(k2.to_string(), "TPLink Plug");
-    }
 
     #[test]
     fn event_class_labels() {

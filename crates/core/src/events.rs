@@ -125,15 +125,6 @@ impl BehavIoT {
         }
     }
 
-    /// Re-learn the periodic models from a fresh idle window, keeping the
-    /// user-action models — the §7.3 periodic-retraining recommendation
-    /// ("small changes over time mean that periodically updating models
-    /// will result in better long-term detection performance").
-    pub fn retrain_periodic(&mut self, idle_flows: &[FlowRecord], cfg: &TrainConfig) {
-        self.periodic =
-            PeriodicModelSet::train_with(idle_flows, &cfg.periodic, cfg.parallelism);
-    }
-
     /// Partition flows into events with the default thread policy. See
     /// [`Self::infer_events_with`].
     pub fn infer_events(&self, flows: &[FlowRecord]) -> Vec<InferredEvent> {
@@ -157,9 +148,9 @@ impl BehavIoT {
     /// non-finite start/end or a negative duration (possible when the flow
     /// assembly upstream ran over a corrupted capture) are clamped to a
     /// sane zero-duration form instead of panicking, and each clamp is
-    /// counted in the returned [`IngestReport`]. On well-formed input the
-    /// report is all-zero and the events are identical to
-    /// [`Self::infer_events_with`].
+    /// counted in the returned [`behaviot_net::IngestReport`]. On
+    /// well-formed input the report is all-zero and the events are
+    /// identical to [`Self::infer_events_with`].
     pub fn infer_events_with_report(
         &self,
         flows: &[FlowRecord],

@@ -27,9 +27,6 @@
 //!    party/essentiality analysis; [`profile`] exports MUD-like profiles;
 //!    the `behaviot-store` crate ships lab-trained models to gateway
 //!    deployments.
-//! 6. **Extensions** (§7.3 future work): [`unsupervised`] discovers
-//!    pseudo-activities without ground-truth labels;
-//!    [`events::BehavIoT::retrain_periodic`] refreshes periodic models.
 //!
 //! # Quickstart
 //!
@@ -72,7 +69,6 @@
 
 pub mod destinations;
 pub mod deviation;
-pub mod diff;
 pub mod event;
 pub mod events;
 pub mod health;
@@ -80,14 +76,12 @@ pub mod monitor;
 pub mod periodic;
 pub mod profile;
 pub mod system;
-pub mod unsupervised;
 pub mod user_action;
 
-pub use event::{DeviceKey, EventKind, InferredEvent};
+pub use event::{EventKind, InferredEvent};
 pub use events::{BehavIoT, EventScratch, TrainConfig, TrainingData};
 pub use health::{HealthConfig, HealthExport, HealthRegistry, HealthState, HealthTransition};
 pub use monitor::{Deviation, DeviationKind, Monitor, MonitorConfig, MonitorState, WindowIngest};
 pub use periodic::{GroupKey, PeriodicModel, PeriodicModelSet, PeriodicTimers, PeriodicTrainConfig};
 pub use system::{SystemModel, SystemModelConfig};
-pub use unsupervised::{UnsupervisedConfig, UnsupervisedUserModels};
 pub use user_action::{UserActionModels, UserActionTrainConfig};

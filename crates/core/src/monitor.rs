@@ -11,7 +11,7 @@
 use crate::deviation::{
     long_term_threshold, periodic_metric_multi_explain, LongTermAccumulator, PERIODIC_THRESHOLD,
 };
-use crate::event::{EventKind, InferredEvent};
+use crate::event::{user_label, EventKind, InferredEvent};
 use crate::events::{BehavIoT, EventScratch};
 use crate::health::{HealthConfig, HealthExport, HealthRegistry};
 use crate::periodic::GroupKey;
@@ -598,9 +598,7 @@ impl Monitor {
                 std::collections::hash_map::Entry::Vacant(v) => {
                     // Cold path: first sight of this (device, activity)
                     // pair — render and intern once.
-                    let label = e
-                        .pfsm_label_sym(&self.models.names)
-                        .expect("user event has a label");
+                    let label = Symbol::intern(&user_label(e.device, activity, &self.models.names));
                     let keep = label
                         .as_str()
                         .split(':')
@@ -615,22 +613,22 @@ impl Monitor {
         }
         // Unstable sort keyed (ts, arrival index) = the stable sort of the
         // String pipeline, without its merge buffer.
-        self.scratch.user_buf.sort_unstable_by(|a, b| {
-            a.0.partial_cmp(&b.0)
-                .expect("NaN event time")
-                .then_with(|| a.1.cmp(&b.1))
-        });
+        self.scratch
+            .user_buf
+            .sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then_with(|| a.1.cmp(&b.1)));
         self.scratch.trace_labels.clear();
         self.scratch.trace_bounds.clear();
         self.scratch.trace_bounds.push(0);
         let mut last_ts = f64::NEG_INFINITY;
         let mut any_user = false;
+        let mut row_start = 0u32;
         for &(ts, _, label, keep) in &self.scratch.user_buf {
             if any_user && ts - last_ts > self.cfg.trace_gap {
                 // Close the segment; filtered-empty segments leave no row.
-                let row_start = *self.scratch.trace_bounds.last().unwrap();
-                if self.scratch.trace_labels.len() as u32 > row_start {
-                    self.scratch.trace_bounds.push(self.scratch.trace_labels.len() as u32);
+                let row_end = self.scratch.trace_labels.len() as u32;
+                if row_end > row_start {
+                    self.scratch.trace_bounds.push(row_end);
+                    row_start = row_end;
                 }
             }
             if keep {
@@ -639,9 +637,9 @@ impl Monitor {
             last_ts = ts;
             any_user = true;
         }
-        let row_start = *self.scratch.trace_bounds.last().unwrap();
-        if self.scratch.trace_labels.len() as u32 > row_start {
-            self.scratch.trace_bounds.push(self.scratch.trace_labels.len() as u32);
+        let row_end = self.scratch.trace_labels.len() as u32;
+        if row_end > row_start {
+            self.scratch.trace_bounds.push(row_end);
         }
         let n_traces = self.scratch.trace_bounds.len() - 1;
 

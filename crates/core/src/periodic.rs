@@ -298,10 +298,13 @@ impl PeriodicModelSet {
 
     /// Classify a chronological sequence of flows: `true` entries are
     /// periodic events. Timer state is kept per group across the call;
-    /// seed it with [`PeriodicClassifier`] for streaming use.
+    /// hold a [`PeriodicTimers`] for streaming use.
     pub fn classify(&self, flows: &[FlowRecord]) -> Vec<bool> {
-        let mut clf = PeriodicClassifier::new(self);
-        flows.iter().map(|f| clf.classify(f)).collect()
+        let mut timers = PeriodicTimers::new();
+        flows
+            .iter()
+            .map(|f| timers.classify(self, f, false))
+            .collect()
     }
 
     /// Training configuration (exposed for the ablation experiments).
@@ -390,6 +393,10 @@ fn train_group(
 /// from the model set it classifies against so long-lived holders (the
 /// monitor's per-window scratch) need no borrow of the set.
 ///
+/// The per-flow path is allocation-free once warm: destinations are
+/// interned `Symbol`s taken straight from [`FlowRecord::group_key`], so
+/// both the model lookup and the timer-table key are 4-byte copies.
+///
 /// [`Self::reset`] clears the timers in place, keeping the per-shard map
 /// capacities: "fresh classifier" semantics without the re-allocation.
 #[derive(Debug, Default)]
@@ -443,50 +450,6 @@ impl PeriodicTimers {
             return false;
         }
         model.cluster_matches_with(&flow.features, &mut self.scratch)
-    }
-
-    /// Current elapsed-time (`T0`) of a group relative to `now`, if the
-    /// group has been seen.
-    pub fn elapsed(&self, key: &GroupKey, now: f64) -> Option<f64> {
-        self.last_seen
-            .get(&(key.0, key.2))
-            .and_then(|timers| timers.get(&key.1))
-            .map(|&t| now - t)
-    }
-}
-
-/// Streaming classifier holding per-group count-up timers.
-///
-/// The per-flow path is fully allocation-free: destinations are interned
-/// `Symbol`s taken straight from [`FlowRecord::group_key`], so both the
-/// model lookup and the timer-table key are 4-byte copies. A thin wrapper
-/// over [`PeriodicTimers`] that borrows its model set.
-pub struct PeriodicClassifier<'a> {
-    set: &'a PeriodicModelSet,
-    timers: PeriodicTimers,
-    /// Disable the DBSCAN second stage (timer-only ablation).
-    pub timer_only: bool,
-}
-
-impl<'a> PeriodicClassifier<'a> {
-    /// New classifier with empty timers.
-    pub fn new(set: &'a PeriodicModelSet) -> Self {
-        Self {
-            set,
-            timers: PeriodicTimers::new(),
-            timer_only: false,
-        }
-    }
-
-    /// Classify one flow (flows must arrive in chronological order).
-    pub fn classify(&mut self, flow: &FlowRecord) -> bool {
-        self.timers.classify(self.set, flow, self.timer_only)
-    }
-
-    /// Current elapsed-time (`T0`) of a group relative to `now`, if the
-    /// group has been seen.
-    pub fn elapsed(&self, key: &GroupKey, now: f64) -> Option<f64> {
-        self.timers.elapsed(key, now)
     }
 }
 
@@ -571,10 +534,9 @@ mod tests {
         let labels = set.classify(&odd);
         assert!(labels[1], "cluster stage should catch off-timer flow");
         // Timer-only ablation misses it.
-        let mut clf = PeriodicClassifier::new(&set);
-        clf.timer_only = true;
-        assert!(!clf.classify(&odd[0]));
-        assert!(!clf.classify(&odd[1]));
+        let mut timers = PeriodicTimers::new();
+        assert!(!timers.classify(&set, &odd[0], true));
+        assert!(!timers.classify(&set, &odd[1], true));
     }
 
     #[test]

@@ -4,31 +4,13 @@
 //! intended communication. None of the paper's 49 devices shipped one; the
 //! paper proposes generating profiles from the learned behavior models.
 //! This module renders a device's periodic models and user activities as a
-//! MUD-flavored JSON document using a small built-in JSON emitter (no
-//! external dependencies).
+//! MUD-flavored JSON document, escaping strings with the ledger's
+//! [`write_json_str`].
 
 use crate::events::BehavIoT;
+use behaviot_obs::ledger::write_json_str;
 use std::fmt::Write as _;
 use std::net::Ipv4Addr;
-
-/// Escape a string for JSON embedding.
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
 
 /// Render the MUD-like profile of one device from its trained models.
 ///
@@ -42,7 +24,6 @@ pub fn mud_profile(models: &BehavIoT, device: Ipv4Addr) -> String {
         .get(&device)
         .cloned()
         .unwrap_or_else(|| device.to_string());
-    let mut acls: Vec<String> = Vec::new();
     let mut periodic: Vec<_> = models
         .periodic
         .iter()
@@ -53,29 +34,37 @@ pub fn mud_profile(models: &BehavIoT, device: Ipv4Addr) -> String {
             .cmp(&b.destination)
             .then(a.proto.cmp(&b.proto))
     });
-    for m in periodic {
-        acls.push(format!(
-            "{{\"name\":\"periodic-{}\",\"protocol\":\"{}\",\"destination\":\"{}\",\"period-seconds\":{:.1},\"cadence\":\"periodic\"}}",
-            esc(m.destination.as_str()),
-            m.proto,
-            esc(m.destination.as_str()),
-            m.period()
-        ));
-    }
     let mut acts = models.user.activities(device);
     acts.sort();
-    for a in acts {
-        acls.push(format!(
-            "{{\"name\":\"user-{}\",\"cadence\":\"on-demand\",\"activity\":\"{}\"}}",
-            esc(a),
-            esc(a)
-        ));
+    let mut out = String::from("{\"ietf-mud:mud\":{\"mud-version\":1,\"systeminfo\":");
+    write_json_str(&mut out, &name);
+    out.push_str(",\"cache-validity\":48,\"is-supported\":true,\"behaviot:acls\":[");
+    let mut sep = "";
+    for m in periodic {
+        let dest = m.destination.as_str();
+        out.push_str(sep);
+        out.push_str("{\"name\":");
+        write_json_str(&mut out, &format!("periodic-{dest}"));
+        let _ = write!(out, ",\"protocol\":\"{}\",\"destination\":", m.proto);
+        write_json_str(&mut out, dest);
+        let _ = write!(
+            out,
+            ",\"period-seconds\":{:.1},\"cadence\":\"periodic\"}}",
+            m.period()
+        );
+        sep = ",";
     }
-    format!(
-        "{{\"ietf-mud:mud\":{{\"mud-version\":1,\"systeminfo\":\"{}\",\"cache-validity\":48,\"is-supported\":true,\"behaviot:acls\":[{}]}}}}",
-        esc(&name),
-        acls.join(",")
-    )
+    for a in acts {
+        out.push_str(sep);
+        out.push_str("{\"name\":");
+        write_json_str(&mut out, &format!("user-{a}"));
+        out.push_str(",\"cadence\":\"on-demand\",\"activity\":");
+        write_json_str(&mut out, a);
+        out.push('}');
+        sep = ",";
+    }
+    out.push_str("]}}");
+    out
 }
 
 #[cfg(test)]
@@ -145,13 +134,6 @@ mod tests {
         let json = mud_profile(&models, Ipv4Addr::new(192, 168, 1, 99));
         assert!(json.contains("\"behaviot:acls\":[]"));
         assert!(json.contains("192.168.1.99"));
-    }
-
-    #[test]
-    fn json_escaping() {
-        assert_eq!(esc("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(esc("\u{1}"), "\\u0001");
-        assert_eq!(esc("plain"), "plain");
     }
 
     #[test]

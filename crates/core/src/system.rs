@@ -46,6 +46,11 @@ pub struct SystemModel {
 /// gaps larger than `trace_gap`. Non-user events are ignored. Each label is
 /// an interned [`Symbol`] — one render per first-seen `(device, activity)`
 /// pair process-wide instead of one `String` per event.
+///
+/// Events are ordered by [`f64::total_cmp`] of their times, so a NaN time
+/// sorts to one end (after every number unless its sign bit is set). A
+/// gap to or from a NaN time never splits a trace, so such an event joins
+/// the trace it sorts into.
 pub fn traces_from_events_syms(
     events: &[InferredEvent],
     names: &HashMap<Ipv4Addr, String>,
@@ -55,7 +60,7 @@ pub fn traces_from_events_syms(
         .iter()
         .filter_map(|e| e.pfsm_label_sym(names).map(|l| (e.ts, l)))
         .collect();
-    user.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("NaN event time"));
+    user.sort_by(|a, b| a.0.total_cmp(&b.0));
     let mut traces: Vec<Vec<Symbol>> = Vec::new();
     let mut cur: Vec<Symbol> = Vec::new();
     let mut last_ts = f64::NEG_INFINITY;
@@ -268,6 +273,22 @@ mod tests {
         let events = vec![user_event(50.0, 11, "on"), user_event(0.0, 10, "motion")];
         let traces = traces_from_events_syms(&events, &names(), 60.0);
         assert_eq!(rendered(&traces), vec![vec!["cam:motion", "bulb:on"]]);
+    }
+
+    #[test]
+    fn nan_event_time_sorts_last_and_joins_the_last_trace() {
+        let events = vec![
+            user_event(f64::NAN, 11, "off"),
+            user_event(0.0, 10, "motion"),
+            user_event(100.0, 11, "on"), // 100 s gap -> new trace
+        ];
+        let traces = traces_from_events_syms(&events, &names(), 60.0);
+        assert_eq!(
+            rendered(&traces),
+            vec![vec!["cam:motion"], vec!["bulb:on", "bulb:off"]]
+        );
+        let m = SystemModel::build(&events, &names(), &SystemModelConfig::default());
+        assert!(m.accepts(&["bulb:on", "bulb:off"]));
     }
 
     #[test]

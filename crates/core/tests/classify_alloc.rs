@@ -1,5 +1,5 @@
 //! Pins the steady-state allocation contract of the per-flow monitor hot
-//! path: after warm-up, [`PeriodicClassifier::classify`] performs **zero**
+//! path: after warm-up, [`PeriodicTimers::classify`] performs **zero**
 //! heap allocations — for timer hits, cluster hits, cluster rejections, and
 //! unknown-group flows alike.
 //!
@@ -13,7 +13,7 @@
 //! an allocating transform sneaking back in, a per-flow `Vec`, a metric
 //! handle resolved per call.
 
-use behaviot::periodic::{PeriodicClassifier, PeriodicModelSet, PeriodicTrainConfig};
+use behaviot::periodic::{PeriodicModelSet, PeriodicTimers, PeriodicTrainConfig};
 use behaviot_flows::{FlowRecord, N_FEATURES};
 use behaviot_intern::Symbol;
 use behaviot_net::Proto;
@@ -107,11 +107,14 @@ fn classify_is_allocation_free_after_warmup() {
     let rounds: Vec<Vec<FlowRecord>> =
         (0..4).map(|r| monitor_round(50_000.0 + r as f64 * 2_000.0)).collect();
 
-    let mut clf = PeriodicClassifier::new(&set);
+    let mut timers = PeriodicTimers::new();
 
     // Warm-up: first round inserts timer-table keys, grows the cluster
     // scratch, and registers metric handles.
-    let expected: Vec<bool> = rounds[0].iter().map(|f| clf.classify(f)).collect();
+    let expected: Vec<bool> = rounds[0]
+        .iter()
+        .map(|f| timers.classify(&set, f, false))
+        .collect();
     assert!(
         expected.iter().any(|&b| b) && expected.iter().any(|&b| !b),
         "warm-up round must exercise both outcomes: {expected:?}"
@@ -122,7 +125,7 @@ fn classify_is_allocation_free_after_warmup() {
     for (r, round) in rounds.iter().enumerate().skip(1) {
         for (i, f) in round.iter().enumerate() {
             let before = alloc_count();
-            let got = clf.classify(f);
+            let got = timers.classify(&set, f, false);
             let after = alloc_count();
             assert_eq!(
                 after - before,

@@ -4,7 +4,7 @@
 //! behavior-modeling pipeline of the paper:
 //!
 //! * descriptive statistics over flow features ([`stats`]),
-//! * a radix-2 FFT, a half-cost real-input FFT and periodogram ([`fft`]),
+//! * a radix-2 FFT, a half-cost real-input FFT and periodogram ([`mod@fft`]),
 //! * autocorrelation ([`autocorr`]),
 //! * the unsupervised period-detection procedure of §4.1 combining DFT
 //!   candidate extraction with autocorrelation validation ([`period`]),

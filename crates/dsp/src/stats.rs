@@ -130,17 +130,6 @@ pub fn percentile(xs: &[f64], p: f64) -> f64 {
     }
 }
 
-/// z-score of `x` against a distribution summarized by `mean` and `std`.
-/// Returns `0.0` when `std` is zero (a degenerate distribution cannot
-/// meaningfully score deviations).
-pub fn z_score(x: f64, mean: f64, std: f64) -> f64 {
-    if std == 0.0 {
-        0.0
-    } else {
-        (x - mean) / std
-    }
-}
-
 /// One-proportion z-statistic for the long-term deviation metric of §4.3:
 /// `z = (p − p0) / sqrt(p0(1−p0)/n)`, where `p` is the observed transition
 /// probability over `n` new observations and `p0` the modeled probability.
@@ -242,54 +231,6 @@ pub fn erf(x: f64) -> f64 {
     sign * y
 }
 
-/// Running mean/variance accumulator (Welford). Useful for streaming feature
-/// standardization without storing the whole sample.
-#[derive(Debug, Clone, Default)]
-pub struct Running {
-    n: u64,
-    mean: f64,
-    m2: f64,
-}
-
-impl Running {
-    /// New empty accumulator.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Add one observation.
-    pub fn push(&mut self, x: f64) {
-        self.n += 1;
-        let delta = x - self.mean;
-        self.mean += delta / self.n as f64;
-        self.m2 += delta * (x - self.mean);
-    }
-
-    /// Number of observations so far.
-    pub fn count(&self) -> u64 {
-        self.n
-    }
-
-    /// Current mean (0 when empty).
-    pub fn mean(&self) -> f64 {
-        self.mean
-    }
-
-    /// Current population variance (0 with fewer than two observations).
-    pub fn variance(&self) -> f64 {
-        if self.n < 2 {
-            0.0
-        } else {
-            self.m2 / self.n as f64
-        }
-    }
-
-    /// Current population standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -362,12 +303,6 @@ mod tests {
     }
 
     #[test]
-    fn z_scores() {
-        assert!(close(z_score(12.0, 10.0, 2.0), 1.0, 1e-12));
-        assert_eq!(z_score(5.0, 5.0, 0.0), 0.0);
-    }
-
-    #[test]
     fn binomial_z_matches_formula() {
         // p = 0.5 observed over n=100 vs p0 = 0.4: z = 0.1/sqrt(0.24/100)
         let z = binomial_z(0.5, 0.4, 100);
@@ -389,18 +324,6 @@ mod tests {
         assert!(close(normal_cdf(0.0), 0.5, 1e-7));
         assert!(close(normal_cdf(1.96), 0.975, 1e-3));
         assert!(close(normal_cdf(-1.96), 0.025, 1e-3));
-    }
-
-    #[test]
-    fn running_matches_batch() {
-        let xs = [3.0, 1.0, 4.0, 1.0, 5.0, 9.0, 2.0, 6.0];
-        let mut r = Running::new();
-        for &x in &xs {
-            r.push(x);
-        }
-        assert_eq!(r.count(), xs.len() as u64);
-        assert!(close(r.mean(), mean(&xs), 1e-12));
-        assert!(close(r.variance(), variance(&xs), 1e-12));
     }
 
     #[test]

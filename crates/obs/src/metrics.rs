@@ -367,7 +367,7 @@ impl MetricsSnapshot {
 /// The registry: named metrics with deterministic snapshot semantics.
 ///
 /// A process-global instance is available through
-/// [`crate::metrics`]; unit tests may build private registries.
+/// [`crate::metrics()`]; unit tests may build private registries.
 #[derive(Debug, Default)]
 pub struct MetricsRegistry {
     metrics: RwLock<BTreeMap<&'static str, Metric>>,

@@ -27,26 +27,6 @@ pub struct Invariants {
     pub always_precedes: FxHashSet<(EventId, EventId)>,
 }
 
-impl Invariants {
-    /// Render invariants as human-readable strings (sorted, for stable
-    /// output).
-    pub fn describe(&self, log: &TraceLog) -> Vec<String> {
-        let mut out = Vec::new();
-        let mut fmt = |set: &FxHashSet<(EventId, EventId)>, word: &str| {
-            let mut v: Vec<String> = set
-                .iter()
-                .map(|&(a, b)| format!("{} {word} {}", log.vocab.name(a), log.vocab.name(b)))
-                .collect();
-            v.sort();
-            out.extend(v);
-        };
-        fmt(&self.always_followed_by, "AlwaysFollowedBy");
-        fmt(&self.never_followed_by, "NeverFollowedBy");
-        fmt(&self.always_precedes, "AlwaysPrecedes");
-        out
-    }
-}
-
 /// Mine the three invariant families from a log.
 ///
 /// Implementation: one pass per trace maintaining, for each event type seen
@@ -199,16 +179,6 @@ mod tests {
         assert!(inv.always_followed_by.is_empty());
         assert!(inv.never_followed_by.is_empty());
         assert!(inv.always_precedes.is_empty());
-    }
-
-    #[test]
-    fn describe_is_sorted_and_complete() {
-        let l = log(&[&["a", "b"]]);
-        let inv = mine_invariants(&l);
-        let lines = inv.describe(&l);
-        assert!(lines.iter().any(|s| s == "a AlwaysFollowedBy b"));
-        assert!(lines.iter().any(|s| s == "b NeverFollowedBy a"));
-        assert!(lines.iter().any(|s| s == "a AlwaysPrecedes b"));
     }
 
     #[test]

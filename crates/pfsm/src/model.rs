@@ -19,7 +19,6 @@ use crate::invariants::{mine_invariants, Invariants};
 use crate::{EventId, TraceLog};
 use behaviot_intern::{FxHashMap, FxHashSet};
 use std::collections::VecDeque;
-use std::fmt::Write as _;
 
 /// Index into the PFSM state array. `INITIAL` and `FINAL` are reserved.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -379,26 +378,6 @@ impl Pfsm {
         }
         path.reverse();
         log10_prob
-    }
-
-    /// Graphviz DOT rendering of the model with probabilities on edges.
-    pub fn to_dot(&self, log: &TraceLog) -> String {
-        let mut out = String::from("digraph pfsm {\n  rankdir=LR;\n");
-        for (i, ev) in self.state_event.iter().enumerate() {
-            let label = match ev {
-                Some(ev) => log.vocab.name(*ev).to_string(),
-                None if i == 0 => "INITIAL".to_string(),
-                None => "FINAL".to_string(),
-            };
-            let _ = writeln!(out, "  s{i} [label=\"{label}\"];");
-        }
-        let mut edges: Vec<_> = self.transitions().collect();
-        edges.sort_by_key(|&(a, b, _, _)| (a, b));
-        for (from, to, _, p) in edges {
-            let _ = writeln!(out, "  s{} -> s{} [label=\"{:.2}\"];", from.0, to.0, p);
-        }
-        out.push_str("}\n");
-        out
     }
 }
 
@@ -828,17 +807,6 @@ mod tests {
         assert!(!m.accepts(&[]));
         let s = m.score(&[]);
         assert!(s.log10_prob.is_finite());
-    }
-
-    #[test]
-    fn dot_export_contains_nodes_and_edges() {
-        let l = log(&[&["a", "b"]]);
-        let m = Pfsm::infer(&l, &cfg());
-        let dot = m.to_dot(&l);
-        assert!(dot.contains("INITIAL"));
-        assert!(dot.contains("FINAL"));
-        assert!(dot.contains("\"a\""));
-        assert!(dot.contains("->"));
     }
 
     #[test]

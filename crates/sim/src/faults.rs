@@ -8,9 +8,8 @@
 //!
 //! * [`FaultPlan::surviving`] — exactly which original records a correct
 //!   lossy ingest yields,
-//! * [`FaultPlan::expected`] — the per-category
-//!   [`IngestReport`](behaviot_net::IngestReport) counters the run must
-//!   produce.
+//! * [`FaultPlan::expected`] — the per-category [`IngestReport`] counters
+//!   the run must produce.
 //!
 //! That ground truth is what turns chaos into a *differential test*: the
 //! pipeline over the corrupted stream must equal the pipeline over the
@@ -116,8 +115,8 @@ impl Fault {
     }
 }
 
-/// The stream-level [`IngestReport`](behaviot_net::IngestReport) counters a
-/// plan's corruption must produce. (Byte-level counters like
+/// The stream-level [`IngestReport`] counters a plan's corruption must
+/// produce. (Byte-level counters like
 /// `resync_skipped_bytes` and downstream `clamped_events` are not part of
 /// the ground truth — they depend on frame sizes and model state.)
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]

@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # Repo verification gate: build, full test suite, the parallel-determinism
 # contract under an explicit thread count and under `off`, clippy with
-# warnings denied on the crates the parallel pipeline touches, and the
-# parity references the rewritten DSP and clustering cores are checked
-# against.
+# warnings denied on every workspace crate, rustdoc with warnings denied
+# (dangling doc links fail), and the parity references the rewritten DSP
+# and clustering cores are checked against.
 #
 # Usage: scripts/verify.sh
 set -euo pipefail
@@ -150,13 +150,12 @@ assert samples > 0, "exposition has no samples"
 print(f"openmetrics lint: {len(typed)} families, {samples} samples ok")
 EOF
 
-echo "==> clippy -D warnings (parallel-pipeline + interning crates)"
-cargo clippy --release -q \
-  -p behaviot-par -p behaviot-dsp -p behaviot-forest -p behaviot-flows \
-  -p behaviot -p behaviot-bench -p behaviot-harness \
-  -p behaviot-intern -p behaviot-net -p behaviot-pfsm -p behaviot-sim \
-  -p behaviot-obs -p behaviot-store -p behaviot-cluster \
-  --all-targets -- -D warnings
+echo "==> clippy -D warnings (every workspace crate)"
+cargo clippy --release -q --workspace --all-targets -- -D warnings
+
+echo "==> rustdoc -D warnings (no broken or ambiguous doc links)"
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline --workspace \
+  --exclude rand --exclude proptest
 
 echo "==> parity references: live DSP and clustering cores match their vendored predecessors"
 cargo test --release -q -p behaviot-dsp --test period_parity
