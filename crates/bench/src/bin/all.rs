@@ -1,7 +1,9 @@
 //! Runs every table/figure experiment in one pass (shared dataset prep).
 //! Pass --quick for reduced scale, --threads auto|off|N for the thread
 //! policy (results are identical under every policy).
-use behaviot_bench::{experiments as e, parallelism_from_args, scale_from_args, ObsSession, Prepared};
+use behaviot_bench::{
+    experiments as e, parallelism_from_args, scale_from_args, ObsSession, Prepared,
+};
 
 type Section<'a> = (&'a str, Box<dyn Fn() -> String + 'a>);
 

@@ -7,8 +7,8 @@ use crate::prep::{time_folds, Prepared};
 use crate::report::{pct, table};
 use behaviot::periodic::{PeriodicModelSet, PeriodicTimers, PeriodicTrainConfig};
 use behaviot::system::{traces_from_events_syms, SystemModel, SystemModelConfig};
-use behaviot_intern::Symbol;
 use behaviot_flows::{assemble_flows, FlowConfig};
+use behaviot_intern::Symbol;
 use behaviot_pfsm::{PfsmConfig, SeqGraph, TraceLog};
 use behaviot_sim::{self as sim, TruthLabel};
 

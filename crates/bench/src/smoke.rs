@@ -12,7 +12,9 @@
 //! snapshot — is byte-identical under every [`Parallelism`] setting.
 
 use crate::prep::{Prepared, Scale};
-use behaviot::{HealthConfig, Monitor, MonitorConfig, SystemModel, SystemModelConfig, WindowIngest};
+use behaviot::{
+    HealthConfig, Monitor, MonitorConfig, SystemModel, SystemModelConfig, WindowIngest,
+};
 use behaviot_flows::ingest::{ingest_pcap_bytes, IngestOptions};
 use behaviot_flows::{assemble_flows, FlowConfig};
 use behaviot_obs::{LedgerSink, NullSink};
@@ -68,10 +70,15 @@ pub fn run_smoke_audited(par: Parallelism, sink: &mut dyn LedgerSink) -> String 
     // (system.pfsm → pfsm.infer). Routine flows carry real user actions, so
     // the trace log is non-trivial.
     let routine_flows: Vec<_> = prepared.routine.iter().map(|l| l.flow.clone()).collect();
-    let (routine_events, routine_report) =
-        prepared.models.infer_events_with_report(&routine_flows, par);
+    let (routine_events, routine_report) = prepared
+        .models
+        .infer_events_with_report(&routine_flows, par);
     routine_report.emit_metrics();
-    let system = SystemModel::build(&routine_events, &prepared.names, &SystemModelConfig::default());
+    let system = SystemModel::build(
+        &routine_events,
+        &prepared.names,
+        &SystemModelConfig::default(),
+    );
 
     // 6. One monitor window over the routine flows — the symbol-native
     // serving path (monitor.window span, monitor.traces / monitor.deviations
@@ -85,7 +92,10 @@ pub fn run_smoke_audited(par: Parallelism, sink: &mut dyn LedgerSink) -> String 
         MonitorConfig::default(),
     );
     monitor.enable_health(HealthConfig::default());
-    let w_start = routine_flows.iter().map(|f| f.start).fold(f64::MAX, f64::min);
+    let w_start = routine_flows
+        .iter()
+        .map(|f| f.start)
+        .fold(f64::MAX, f64::min);
     let w_end = routine_flows.iter().map(|f| f.end).fold(f64::MIN, f64::max);
     let ingest = WindowIngest {
         report: &ingested.report,

@@ -252,12 +252,7 @@ impl Standardizer {
     pub fn transform_matrix(&self, m: &mut FeatureMatrix) {
         assert_eq!(m.dim(), self.means.len(), "dimension mismatch");
         for i in 0..m.n_rows() {
-            for ((x, &mean), &s) in m
-                .row_mut(i)
-                .iter_mut()
-                .zip(&self.means)
-                .zip(&self.stds)
-            {
+            for ((x, &mean), &s) in m.row_mut(i).iter_mut().zip(&self.means).zip(&self.stds) {
                 *x = (*x - mean) / s;
             }
         }
@@ -498,8 +493,7 @@ impl Dbscan {
         // partition). Degrees come from the CSR offsets — no recomputation.
         let n_clusters = cluster as usize;
         let mut counts = vec![0usize; n_clusters];
-        let is_core =
-            |i: usize| labels[i] != NOISE && offsets[i + 1] - offsets[i] >= self.min_pts;
+        let is_core = |i: usize| labels[i] != NOISE && offsets[i + 1] - offsets[i] >= self.min_pts;
         for i in 0..n {
             if is_core(i) {
                 counts[labels[i] as usize] += 1;

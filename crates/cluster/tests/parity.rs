@@ -106,7 +106,10 @@ fn assert_parity(points: &[Vec<f64>], eps: f64, min_pts: usize) {
     }
 
     // Labels byte-identical, structure equal.
-    assert_eq!(new_labels, old_labels, "labels diverged (eps={eps}, min_pts={min_pts})");
+    assert_eq!(
+        new_labels, old_labels,
+        "labels diverged (eps={eps}, min_pts={min_pts})"
+    );
     assert_eq!(new_model.n_clusters(), old_model.n_clusters());
     assert_eq!(new_model.n_core_points(), old_model.n_core_points());
     assert_eq!(
@@ -120,7 +123,11 @@ fn assert_parity(points: &[Vec<f64>], eps: f64, min_pts: usize) {
         let old = old_model.predict(p);
         let new = new_model.predict(p);
         assert_eq!(new, old, "predict diverged on probe {k}");
-        assert_eq!(new_model.matches(p), old.is_some(), "matches diverged on probe {k}");
+        assert_eq!(
+            new_model.matches(p),
+            old.is_some(),
+            "matches diverged on probe {k}"
+        );
     }
 }
 

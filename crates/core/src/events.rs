@@ -119,7 +119,11 @@ impl BehavIoT {
         let mut user_cfg = cfg.user.clone();
         user_cfg.forest.parallelism = cfg.parallelism;
         BehavIoT {
-            periodic: PeriodicModelSet::train_with(&data.idle_flows, &cfg.periodic, cfg.parallelism),
+            periodic: PeriodicModelSet::train_with(
+                &data.idle_flows,
+                &cfg.periodic,
+                cfg.parallelism,
+            ),
             user: UserActionModels::train(&samples, &user_cfg),
             names: data.names.clone(),
         }
@@ -467,8 +471,7 @@ mod tests {
         negative.end = negative.start - 5.0;
         let good = flow("hb.cloud.com", 400.0, 120.0);
         let flows = vec![bad_start, bad_end, negative, good.clone()];
-        let (events, report) =
-            models.infer_events_with_report(&flows, Parallelism::Off);
+        let (events, report) = models.infer_events_with_report(&flows, Parallelism::Off);
         assert_eq!(events.len(), 4);
         assert_eq!(report.clamped_events, 3);
         assert!(events.iter().all(|e| e.ts.is_finite()));

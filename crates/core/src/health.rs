@@ -189,7 +189,9 @@ impl HealthRegistry {
 
     /// Register a device (idempotent; new devices start Healthy).
     pub fn register(&mut self, device: Symbol) {
-        self.devices.entry(device).or_insert_with(DeviceHealth::fresh);
+        self.devices
+            .entry(device)
+            .or_insert_with(DeviceHealth::fresh);
     }
 
     /// Number of registered devices.
@@ -278,7 +280,9 @@ impl HealthRegistry {
                 });
             }
         }
-        fleet_metrics().transitions.add(self.transitions.len() as u64);
+        fleet_metrics()
+            .transitions
+            .add(self.transitions.len() as u64);
         self.publish_rollup();
         &self.transitions
     }
@@ -382,9 +386,17 @@ mod tests {
         let mut reg = HealthRegistry::new(HealthConfig::default());
         reg.register(sym("plug"));
         // Deviation: Healthy -> Deviant.
-        let t = observe(&mut reg, &[("plug", DeviationKind::PeriodicTiming)], &["plug"], 0.0);
+        let t = observe(
+            &mut reg,
+            &[("plug", DeviationKind::PeriodicTiming)],
+            &["plug"],
+            0.0,
+        );
         assert_eq!(t.len(), 1);
-        assert_eq!((t[0].from, t[0].to), (HealthState::Healthy, HealthState::Deviant));
+        assert_eq!(
+            (t[0].from, t[0].to),
+            (HealthState::Healthy, HealthState::Deviant)
+        );
         assert_eq!(t[0].reason, "deviation:periodic");
         // Two clean windows: still Deviant (recover_after = 3).
         for _ in 0..2 {
@@ -447,7 +459,12 @@ mod tests {
     fn prolonged_silence_goes_stale_and_freezes_recovery() {
         let mut reg = HealthRegistry::new(HealthConfig::default());
         reg.register(sym("hub"));
-        observe(&mut reg, &[("hub", DeviationKind::PeriodicTiming)], &[], 0.0);
+        observe(
+            &mut reg,
+            &[("hub", DeviationKind::PeriodicTiming)],
+            &[],
+            0.0,
+        );
         assert_eq!(reg.state(sym("hub")), Some(HealthState::Deviant));
         // Silent (not yet stale): state frozen, no sneaky recovery.
         observe(&mut reg, &[], &[], 0.0);
@@ -462,7 +479,10 @@ mod tests {
         observe(&mut reg, &[], &["hub"], 0.0);
         let t = observe(&mut reg, &[], &["hub"], 0.0);
         assert_eq!(t.len(), 1);
-        assert_eq!((t[0].from, t[0].to), (HealthState::Stale, HealthState::Healthy));
+        assert_eq!(
+            (t[0].from, t[0].to),
+            (HealthState::Stale, HealthState::Healthy)
+        );
     }
 
     #[test]
@@ -471,7 +491,12 @@ mod tests {
         for d in ["a", "b", "c", "d"] {
             reg.register(sym(d));
         }
-        observe(&mut reg, &[("a", DeviationKind::ShortTerm)], &["a", "b"], 0.0);
+        observe(
+            &mut reg,
+            &[("a", DeviationKind::ShortTerm)],
+            &["a", "b"],
+            0.0,
+        );
         observe(&mut reg, &[], &["a", "b"], 0.0);
         observe(&mut reg, &[], &["a", "b"], 0.0);
         // a: Deviant; b: Healthy; c, d: Stale after 3 silent windows.
@@ -508,7 +533,12 @@ mod tests {
     fn unregistered_deviants_are_ignored() {
         let mut reg = HealthRegistry::new(HealthConfig::default());
         reg.register(sym("known"));
-        let t = observe(&mut reg, &[("ghost", DeviationKind::ShortTerm)], &["known"], 0.0);
+        let t = observe(
+            &mut reg,
+            &[("ghost", DeviationKind::ShortTerm)],
+            &["known"],
+            0.0,
+        );
         assert!(t.is_empty());
         assert_eq!(reg.state(sym("ghost")), None);
     }

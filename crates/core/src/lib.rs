@@ -82,6 +82,8 @@ pub use event::{EventKind, InferredEvent};
 pub use events::{BehavIoT, EventScratch, TrainConfig, TrainingData};
 pub use health::{HealthConfig, HealthExport, HealthRegistry, HealthState, HealthTransition};
 pub use monitor::{Deviation, DeviationKind, Monitor, MonitorConfig, MonitorState, WindowIngest};
-pub use periodic::{GroupKey, PeriodicModel, PeriodicModelSet, PeriodicTimers, PeriodicTrainConfig};
+pub use periodic::{
+    GroupKey, PeriodicModel, PeriodicModelSet, PeriodicTimers, PeriodicTrainConfig,
+};
 pub use system::{SystemModel, SystemModelConfig};
 pub use user_action::{UserActionModels, UserActionTrainConfig};

@@ -430,9 +430,9 @@ impl Monitor {
         sink: &mut dyn LedgerSink,
     ) -> Vec<Deviation> {
         let mut span = behaviot_obs::span!("monitor.window", flows = flows.len());
-        let _ = self
-            .models
-            .infer_events_into(flows, &mut self.scratch.infer, &mut self.scratch.events);
+        let _ =
+            self.models
+                .infer_events_into(flows, &mut self.scratch.infer, &mut self.scratch.events);
         let mut out = Vec::new();
         self.scratch.evidence.clear();
         self.scratch.deviant.clear();
@@ -458,8 +458,7 @@ impl Monitor {
         // The map values carry the ledger evidence (gap/elapsed and the
         // best-matching period) alongside the score that fixes emission;
         // `periodic_metric_multi_explain` computes the identical score.
-        let mut worst_gap: FxHashMap<Ipv4Addr, (f64, f64, Symbol, f64, f64)> =
-            FxHashMap::default(); // device -> (score, ts, dest, gap, period)
+        let mut worst_gap: FxHashMap<Ipv4Addr, (f64, f64, Symbol, f64, f64)> = FxHashMap::default(); // device -> (score, ts, dest, gap, period)
         let mut worst_absent: FxHashMap<Ipv4Addr, (f64, Symbol, f64, f64)> = FxHashMap::default();
         for e in &self.scratch.events {
             let key: GroupKey = (e.device, e.destination, e.proto);
@@ -474,9 +473,13 @@ impl Monitor {
                 let (score, period) =
                     periodic_metric_multi_explain(gap, &model.periods, self.max_missed);
                 if score > self.cfg.periodic_threshold {
-                    let entry = worst_gap
-                        .entry(e.device)
-                        .or_insert((0.0, e.ts, e.destination, gap, period));
+                    let entry = worst_gap.entry(e.device).or_insert((
+                        0.0,
+                        e.ts,
+                        e.destination,
+                        gap,
+                        period,
+                    ));
                     if score > entry.0 {
                         *entry = (score, e.ts, e.destination, gap, period);
                     }
@@ -497,9 +500,12 @@ impl Monitor {
                 && score > self.cfg.periodic_threshold
                 && !self.absence_flagged.contains(&model.device)
             {
-                let entry = worst_absent
-                    .entry(model.device)
-                    .or_insert((0.0, model.destination, elapsed, period));
+                let entry = worst_absent.entry(model.device).or_insert((
+                    0.0,
+                    model.destination,
+                    elapsed,
+                    period,
+                ));
                 if score > entry.0 {
                     *entry = (score, model.destination, elapsed, period);
                 }
@@ -649,8 +655,8 @@ impl Monitor {
         // the two-pass String pipeline (which re-scored every trace).
         self.scratch.longterm.reset();
         for i in 0..n_traces {
-            let trace = &self.scratch.trace_labels[self.scratch.trace_bounds[i] as usize
-                ..self.scratch.trace_bounds[i + 1] as usize];
+            let trace = &self.scratch.trace_labels
+                [self.scratch.trace_bounds[i] as usize..self.scratch.trace_bounds[i + 1] as usize];
             self.system
                 .log
                 .resolve_syms_into(trace, &mut self.scratch.resolved);
@@ -684,8 +690,7 @@ impl Monitor {
                     // trace is implicated (the `dev:activity` prefix is the
                     // registered device label; `lookup` never interns).
                     for label in trace {
-                        if let Some(dev) =
-                            label.as_str().split(':').next().and_then(Symbol::lookup)
+                        if let Some(dev) = label.as_str().split(':').next().and_then(Symbol::lookup)
                         {
                             self.scratch
                                 .deviant
@@ -695,7 +700,9 @@ impl Monitor {
                     }
                 }
             }
-            self.scratch.longterm.observe_path(self.scratch.score.path());
+            self.scratch
+                .longterm
+                .observe_path(self.scratch.score.path());
         }
 
         // ---- long-term system deviations --------------------------------
@@ -735,8 +742,7 @@ impl Monitor {
                 });
                 if self.health.is_some() {
                     for end in [r.from, r.to] {
-                        if let Some(dev) = end.as_str().split(':').next().and_then(Symbol::lookup)
-                        {
+                        if let Some(dev) = end.as_str().split(':').next().and_then(Symbol::lookup) {
                             self.scratch
                                 .deviant
                                 .entry(dev)
@@ -851,7 +857,10 @@ impl Monitor {
                         let _ = write!(line, "{{\"cause\":\"outage\",\"devices\":{devices}}}");
                     }
                     Evidence::Trace { events, log10_prob } => {
-                        let _ = write!(line, "{{\"cause\":\"trace\",\"events\":{events},\"log10_prob\":");
+                        let _ = write!(
+                            line,
+                            "{{\"cause\":\"trace\",\"events\":{events},\"log10_prob\":"
+                        );
                         write_json_f64(line, log10_prob);
                         line.push('}');
                     }

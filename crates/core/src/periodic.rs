@@ -235,7 +235,10 @@ impl PeriodicModelSet {
             let Some(model) = model else { continue };
             covered += flows.len();
             n_models += 1;
-            models.entry((key.0, key.2)).or_default().insert(key.1, model);
+            models
+                .entry((key.0, key.2))
+                .or_default()
+                .insert(key.1, model);
         }
         let train_coverage = if idle_flows.is_empty() {
             0.0
@@ -273,7 +276,12 @@ impl PeriodicModelSet {
     /// String-keyed variant of [`Self::get`] for callers holding a plain
     /// destination name. Uses a non-inserting interner lookup, so querying
     /// never-seen destinations does not grow the symbol table.
-    pub fn get_borrowed(&self, device: Ipv4Addr, dest: &str, proto: Proto) -> Option<&PeriodicModel> {
+    pub fn get_borrowed(
+        &self,
+        device: Ipv4Addr,
+        dest: &str,
+        proto: Proto,
+    ) -> Option<&PeriodicModel> {
         let sym = Symbol::lookup(dest)?;
         self.models.get(&(device, proto))?.get(&sym)
     }
@@ -423,10 +431,19 @@ impl PeriodicTimers {
 
     /// Classify one flow against `set` (flows must arrive in chronological
     /// order). `timer_only` disables the DBSCAN second stage.
-    pub fn classify(&mut self, set: &PeriodicModelSet, flow: &FlowRecord, timer_only: bool) -> bool {
+    pub fn classify(
+        &mut self,
+        set: &PeriodicModelSet,
+        flow: &FlowRecord,
+        timer_only: bool,
+    ) -> bool {
         let (dest, _) = flow.group_key();
         let shard = (flow.device, flow.proto);
-        let Some(model) = set.models.get(&shard).and_then(|by_dest| by_dest.get(&dest)) else {
+        let Some(model) = set
+            .models
+            .get(&shard)
+            .and_then(|by_dest| by_dest.get(&dest))
+        else {
             return false;
         };
         let timers = self.last_seen.entry(shard).or_default();
@@ -609,7 +626,11 @@ mod tests {
         }
         let cfg = PeriodicTrainConfig::default();
         let serial = PeriodicModelSet::train_with(&flows, &cfg, Parallelism::Off);
-        for par in [Parallelism::Fixed(2), Parallelism::Fixed(7), Parallelism::Auto] {
+        for par in [
+            Parallelism::Fixed(2),
+            Parallelism::Fixed(7),
+            Parallelism::Auto,
+        ] {
             let p = PeriodicModelSet::train_with(&flows, &cfg, par);
             assert_eq!(p.len(), serial.len());
             assert_eq!(p.train_coverage, serial.train_coverage);

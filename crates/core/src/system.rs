@@ -218,10 +218,7 @@ mod tests {
         let traces = traces_from_events_syms(&events, &names(), 60.0);
         assert_eq!(
             rendered(&traces),
-            vec![
-                vec!["cam:motion", "bulb:on"],
-                vec!["cam:motion", "bulb:on"]
-            ]
+            vec![vec!["cam:motion", "bulb:on"], vec!["cam:motion", "bulb:on"]]
         );
     }
 

@@ -95,17 +95,15 @@ fn monitor_round(t0: f64) -> Vec<FlowRecord> {
 fn classify_is_allocation_free_after_warmup() {
     let mut train = periodic_flows(10, "hb.cloud.com", 100.0, 400, 0.0);
     train.extend(periodic_flows(11, "ctl.cloud.com", 60.0, 400, 0.0));
-    let set = PeriodicModelSet::train_with(
-        &train,
-        &PeriodicTrainConfig::default(),
-        Parallelism::Off,
-    );
+    let set =
+        PeriodicModelSet::train_with(&train, &PeriodicTrainConfig::default(), Parallelism::Off);
     assert_eq!(set.len(), 2, "both training groups must produce models");
 
     // Pre-construct every flow of every round: FlowRecord construction
     // (symbol interning on first sight) is not part of the contract.
-    let rounds: Vec<Vec<FlowRecord>> =
-        (0..4).map(|r| monitor_round(50_000.0 + r as f64 * 2_000.0)).collect();
+    let rounds: Vec<Vec<FlowRecord>> = (0..4)
+        .map(|r| monitor_round(50_000.0 + r as f64 * 2_000.0))
+        .collect();
 
     let mut timers = PeriodicTimers::new();
 

@@ -26,9 +26,9 @@ use behaviot::{
     BehavIoT, HealthConfig, Monitor, MonitorConfig, SystemModel, SystemModelConfig, TrainConfig,
     TrainingData,
 };
-use behaviot_obs::{MemorySink, NullSink};
 use behaviot_flows::{FlowRecord, N_FEATURES};
 use behaviot_intern::Symbol;
+use behaviot_obs::{MemorySink, NullSink};
 use behaviot_par::Parallelism;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::net::Ipv4Addr;
@@ -96,7 +96,12 @@ fn monitor(par: Parallelism) -> Monitor {
     let mut idle = Vec::new();
     for d in 0..N_DEV {
         for i in 0..600 {
-            idle.push(flow(d, &format!("hb{d}.cloud.com"), i as f64 * 100.0, 120.0));
+            idle.push(flow(
+                d,
+                &format!("hb{d}.cloud.com"),
+                i as f64 * 100.0,
+                120.0,
+            ));
         }
     }
     let mut act_flows = Vec::new();
@@ -107,11 +112,7 @@ fn monitor(par: Parallelism) -> Monitor {
     }
     let names: std::collections::HashMap<Ipv4Addr, String> =
         (0..N_DEV).map(|d| (dev_ip(d), format!("dev{d}"))).collect();
-    let data = TrainingData::from_flows(
-        idle,
-        act_flows.iter().map(|f| (f, Some("on_off"))),
-        names,
-    );
+    let data = TrainingData::from_flows(idle, act_flows.iter().map(|f| (f, Some("on_off"))), names);
     let cfg = TrainConfig {
         parallelism: par,
         ..Default::default()
@@ -142,7 +143,12 @@ fn healthy_windows() -> Vec<(Vec<FlowRecord>, f64, f64)> {
         let mut flows = Vec::new();
         for d in 0..N_DEV {
             for i in 0..36 {
-                flows.push(flow(d, &format!("hb{d}.cloud.com"), t0 + i as f64 * 100.0, 120.0));
+                flows.push(flow(
+                    d,
+                    &format!("hb{d}.cloud.com"),
+                    t0 + i as f64 * 100.0,
+                    120.0,
+                ));
             }
         }
         let mut t = t0 + 30.0;
@@ -172,7 +178,10 @@ fn process_window_is_allocation_free_after_warmup() {
         let (warm, steady) = windows.split_at(3);
         for (flows, s, e) in warm {
             let devs = m.process_window(flows, *s, *e);
-            assert!(devs.is_empty(), "warm-up must be healthy ({par:?}): {devs:#?}");
+            assert!(
+                devs.is_empty(),
+                "warm-up must be healthy ({par:?}): {devs:#?}"
+            );
         }
 
         // Steady state: the remaining windows repeat the warm-up windows'
@@ -203,7 +212,10 @@ fn process_window_is_allocation_free_after_warmup() {
         let mut sink = MemorySink::new();
         for (flows, s, e) in warm {
             let devs = m.process_window_audited(flows, *s, *e, None, &mut sink);
-            assert!(devs.is_empty(), "audited warm-up must be healthy: {devs:#?}");
+            assert!(
+                devs.is_empty(),
+                "audited warm-up must be healthy: {devs:#?}"
+            );
         }
         assert!(
             sink.is_empty(),

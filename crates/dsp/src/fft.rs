@@ -515,7 +515,10 @@ mod tests {
             (0..256)
                 .map(|i| if i % 25 == 0 { 1.0 } else { 0.0 })
                 .collect(),
-            (0..32).map(|i| i as f64).chain((0..96).map(|_| 0.0)).collect(),
+            (0..32)
+                .map(|i| i as f64)
+                .chain((0..96).map(|_| 0.0))
+                .collect(),
         ];
         // A couple of dense generic signals too.
         cases.push((0..512).map(|i| ((i * 37) % 101) as f64 - 50.0).collect());

@@ -319,7 +319,10 @@ fn refine_against_gaps(gaps: &[f64], coarse: f64, matching: &mut Vec<f64>) -> f6
 /// Stable insertion sort — the candidate set is bounded by
 /// `max_candidates` (50 by default), where insertion sort is both fastest
 /// and allocation-free, unlike the stdlib's stable `sort_by`.
-fn insertion_sort_by(v: &mut [DetectedPeriod], less: impl Fn(&DetectedPeriod, &DetectedPeriod) -> bool) {
+fn insertion_sort_by(
+    v: &mut [DetectedPeriod],
+    less: impl Fn(&DetectedPeriod, &DetectedPeriod) -> bool,
+) {
     for i in 1..v.len() {
         let mut j = i;
         while j > 0 && less(&v[j], &v[j - 1]) {

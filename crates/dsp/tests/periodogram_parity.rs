@@ -142,7 +142,9 @@ fn periodogram_matches_prechange_golden() {
         .expect("golden missing; run the ignored `regenerate` test to create it");
     let mut lines = golden.lines();
     for (name, sig) in corpus() {
-        let header = lines.next().unwrap_or_else(|| panic!("golden truncated at {name}"));
+        let header = lines
+            .next()
+            .unwrap_or_else(|| panic!("golden truncated at {name}"));
         let mut parts = header.split_whitespace();
         assert_eq!(parts.next(), Some("case"));
         assert_eq!(parts.next(), Some(name), "golden case order changed");

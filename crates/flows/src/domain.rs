@@ -103,7 +103,10 @@ mod tests {
     fn priority_dns_over_sni_over_rdns() {
         let mut t = DomainTable::new();
         t.preload_rdns([(IP, "ec2-52-0-0-1.compute.amazonaws.com".to_string())]);
-        assert_eq!(t.resolve_str(IP), Some("ec2-52-0-0-1.compute.amazonaws.com"));
+        assert_eq!(
+            t.resolve_str(IP),
+            Some("ec2-52-0-0-1.compute.amazonaws.com")
+        );
         t.learn_sni(IP, "api.Example.com");
         assert_eq!(t.resolve_str(IP), Some("api.example.com"));
         t.learn_dns(IP, "cdn.example.com");

@@ -174,9 +174,7 @@ pub fn ingest_pcap_bytes(bytes: &[u8], opts: &IngestOptions) -> Result<Ingested>
     // Fold in what the reader itself skipped (bad headers, resyncs,
     // truncated tail).
     let reader_report = scan.take_report();
-    let records_seen = yielded
-        + reader_report.bad_record_headers
-        + reader_report.truncated_tail;
+    let records_seen = yielded + reader_report.bad_record_headers + reader_report.truncated_tail;
     report.merge(&reader_report);
 
     // Bounded reordering upstream must not change flow assembly: restore
@@ -438,7 +436,10 @@ mod tests {
             ..IngestOptions::default()
         };
         match ingest_pcap_bytes(&bytes, &opts) {
-            Err(NetError::BudgetExceeded { dropped: 2, total: 4 }) => {}
+            Err(NetError::BudgetExceeded {
+                dropped: 2,
+                total: 4,
+            }) => {}
             other => panic!("expected BudgetExceeded, got {other:?}"),
         }
         // A generous budget passes.

@@ -493,7 +493,10 @@ mod tests {
         let rebuilt = DecisionTree::from_nodes(t.export_nodes(), t.n_features()).unwrap();
         assert_eq!(rebuilt.n_nodes(), t.n_nodes());
         for xi in &x {
-            assert_eq!(rebuilt.predict_proba(xi).to_bits(), t.predict_proba(xi).to_bits());
+            assert_eq!(
+                rebuilt.predict_proba(xi).to_bits(),
+                t.predict_proba(xi).to_bits()
+            );
         }
     }
 

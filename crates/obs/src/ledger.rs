@@ -200,7 +200,10 @@ mod tests {
         sink.append("{\"a\":1}");
         sink.append("{\"b\":2}");
         sink.finish().unwrap();
-        assert_eq!(std::fs::read_to_string(&path).unwrap(), "{\"a\":1}\n{\"b\":2}\n");
+        assert_eq!(
+            std::fs::read_to_string(&path).unwrap(),
+            "{\"a\":1}\n{\"b\":2}\n"
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 

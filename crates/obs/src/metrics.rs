@@ -341,7 +341,11 @@ impl MetricsSnapshot {
                     let _ = write!(out, ",\"type\":\"gauge\",\"value\":{g}");
                 }
                 MetricValue::Histogram(h) => {
-                    let _ = write!(out, ",\"type\":\"histogram\",\"count\":{},\"sum\":{}", h.count, h.sum);
+                    let _ = write!(
+                        out,
+                        ",\"type\":\"histogram\",\"count\":{},\"sum\":{}",
+                        h.count, h.sum
+                    );
                     match (h.min, h.max) {
                         (Some(mn), Some(mx)) => {
                             let _ = write!(out, ",\"min\":{mn},\"max\":{mx}");

@@ -22,7 +22,8 @@ use std::fmt::Write as _;
 pub fn sanitize_name(name: &str) -> String {
     let mut out = String::with_capacity(name.len() + 1);
     for (i, c) in name.chars().enumerate() {
-        let valid = c.is_ascii_alphabetic() || c == '_' || c == ':' || (i > 0 && c.is_ascii_digit());
+        let valid =
+            c.is_ascii_alphabetic() || c == '_' || c == ':' || (i > 0 && c.is_ascii_digit());
         if i == 0 && c.is_ascii_digit() {
             out.push('_');
             out.push(c);
@@ -227,11 +228,20 @@ m_hist_count 4
         assert_eq!(diff.counter("d.count"), Some(5));
         assert_eq!(diff.rate("d.count", 10.0), Some(0.5));
         assert_eq!(
-            diff.entries.iter().find(|(n, _)| n == "d.gauge").map(|(_, d)| d.clone()),
-            Some(MetricDelta::Gauge { value: 1, change: -3 })
+            diff.entries
+                .iter()
+                .find(|(n, _)| n == "d.gauge")
+                .map(|(_, d)| d.clone()),
+            Some(MetricDelta::Gauge {
+                value: 1,
+                change: -3
+            })
         );
         assert_eq!(
-            diff.entries.iter().find(|(n, _)| n == "d.hist").map(|(_, d)| d.clone()),
+            diff.entries
+                .iter()
+                .find(|(n, _)| n == "d.hist")
+                .map(|(_, d)| d.clone()),
             Some(MetricDelta::Histogram { count: 2, sum: 24 })
         );
     }

@@ -196,7 +196,8 @@ impl Pfsm {
         let m = behaviot_obs::metrics();
         m.counter("pfsm.infers").inc();
         m.counter("pfsm.states").add(out.n_states() as u64);
-        m.counter("pfsm.transitions").add(out.n_transitions() as u64);
+        m.counter("pfsm.transitions")
+            .add(out.n_transitions() as u64);
         m.counter("pfsm.splits").add(splits as u64);
         span.record("states", out.n_states());
         span.record("transitions", out.n_transitions());

@@ -74,8 +74,7 @@ fn pproto(artifact: &str, line: usize, s: &str) -> Result<Proto, StoreError> {
 
 /// Comma-joined canonical floats (empty slice renders as the empty string).
 fn render_f64_list(artifact: &str, vals: &[f64]) -> Result<String, StoreError> {
-    let parts: Result<Vec<String>, StoreError> =
-        vals.iter().map(|&v| ff(artifact, v)).collect();
+    let parts: Result<Vec<String>, StoreError> = vals.iter().map(|&v| ff(artifact, v)).collect();
     Ok(parts?.join(","))
 }
 
@@ -191,7 +190,10 @@ pub(crate) fn render_periodic_device(
         let dim = c.dim();
         for (i, &orig) in c.core_orig().iter().enumerate() {
             let row = &c.cores()[i * dim..(i + 1) * dim];
-            out.push_str(&format!("core|{orig}|{}\n", render_f64_list(artifact, row)?));
+            out.push_str(&format!(
+                "core|{orig}|{}\n",
+                render_f64_list(artifact, row)?
+            ));
         }
     }
     Ok(out)
@@ -228,8 +230,7 @@ impl PendingPeriodic {
             cores.extend_from_slice(&row);
         }
         let standardizer = Standardizer::from_params(means, stds).map_err(err)?;
-        let cluster =
-            DbscanModel::from_parts(eps, dim, cores, core_orig, offsets).map_err(err)?;
+        let cluster = DbscanModel::from_parts(eps, dim, cores, core_orig, offsets).map_err(err)?;
         PeriodicModel::from_parts(
             device,
             self.dest,
@@ -416,7 +417,11 @@ pub(crate) fn render_user_device(
                 .iter()
                 .map(|n| render_node(artifact, n))
                 .collect();
-            out.push_str(&format!("tree|{}|{}\n", tree.n_features(), nodes?.join("|")));
+            out.push_str(&format!(
+                "tree|{}|{}\n",
+                tree.n_features(),
+                nodes?.join("|")
+            ));
         }
     }
     Ok(out)
@@ -602,10 +607,8 @@ pub(crate) fn parse_system(artifact: &str, content: &str) -> Result<SystemModel,
         if fields[0] != "trace" {
             return Err(bad(artifact, ln, "unknown record kind"));
         }
-        let labels: Result<Vec<String>, StoreError> = fields[1..]
-            .iter()
-            .map(|s| pstr(artifact, ln, s))
-            .collect();
+        let labels: Result<Vec<String>, StoreError> =
+            fields[1..].iter().map(|s| pstr(artifact, ln, s)).collect();
         traces.push(labels?);
     }
     Ok(SystemModel::from_traces(&traces, &cfg))
@@ -734,10 +737,7 @@ pub(crate) fn parse_monitor(
 
 /// Render the health registry export: the hysteresis config plus one
 /// `dev|` row per registered device, already in device-name order.
-pub(crate) fn render_health(
-    artifact: &str,
-    export: &HealthExport,
-) -> Result<String, StoreError> {
+pub(crate) fn render_health(artifact: &str, export: &HealthExport) -> Result<String, StoreError> {
     let c = &export.cfg;
     let mut out = format!(
         "cfg|{}|{}|{}\n",
@@ -779,8 +779,8 @@ pub(crate) fn parse_health(artifact: &str, content: &str) -> Result<HealthExport
             return Err(bad(artifact, ln, "unknown record kind"));
         }
         let device = Symbol::intern(&pstr(artifact, ln, fields[1])?);
-        let state = HealthState::parse(fields[2])
-            .ok_or_else(|| bad(artifact, ln, "bad health state"))?;
+        let state =
+            HealthState::parse(fields[2]).ok_or_else(|| bad(artifact, ln, "bad health state"))?;
         let clean_streak = pu32(artifact, ln, fields[3], "clean streak")?;
         let silent_windows = pu32(artifact, ln, fields[4], "silent windows")?;
         if !seen.insert(device) {

@@ -116,8 +116,16 @@ mod tests {
     #[test]
     fn escaping_round_trips() {
         for s in [
-            "", "plain", "a|b", "100%|done", "line\nbreak", "%7C", "%", "trailing\r",
-            "crlf\r\nmid", "\r",
+            "",
+            "plain",
+            "a|b",
+            "100%|done",
+            "line\nbreak",
+            "%7C",
+            "%",
+            "trailing\r",
+            "crlf\r\nmid",
+            "\r",
         ] {
             let e = escape(s);
             assert!(!e.contains('|') && !e.contains('\n') && !e.contains('\r'));

@@ -394,8 +394,10 @@ impl ModelStore {
         }
 
         // -- per-device artifacts (reused when unchanged) ----------------
-        let mut periodic_by_dev: std::collections::BTreeMap<Ipv4Addr, Vec<&behaviot::PeriodicModel>> =
-            std::collections::BTreeMap::new();
+        let mut periodic_by_dev: std::collections::BTreeMap<
+            Ipv4Addr,
+            Vec<&behaviot::PeriodicModel>,
+        > = std::collections::BTreeMap::new();
         for pm in models.periodic.iter() {
             periodic_by_dev.entry(pm.device).or_default().push(pm);
         }
@@ -517,7 +519,9 @@ impl ModelStore {
         };
         for d in dir.flatten() {
             let fname = d.file_name();
-            let Some(fname) = fname.to_str() else { continue };
+            let Some(fname) = fname.to_str() else {
+                continue;
+            };
             if fname == MANIFEST_FILE || referenced.contains(fname) {
                 continue;
             }
@@ -673,7 +677,8 @@ impl ModelStore {
             }
         }
 
-        let (pcfg, coverage) = artifacts::parse_periodic_cfg("periodic.cfg", &contents["periodic.cfg"])?;
+        let (pcfg, coverage) =
+            artifacts::parse_periodic_cfg("periodic.cfg", &contents["periodic.cfg"])?;
         let confidence = artifacts::parse_user_cfg("user.cfg", &contents["user.cfg"])?;
         let names = artifacts::parse_names("names", &contents["names"])?;
 
@@ -690,7 +695,10 @@ impl ModelStore {
                     )?);
                 }
                 Some(ArtifactKind::UserDevice(ip)) => {
-                    user_models.push((ip, artifacts::parse_user_device(&e.name, &contents[&e.name])?));
+                    user_models.push((
+                        ip,
+                        artifacts::parse_user_device(&e.name, &contents[&e.name])?,
+                    ));
                 }
                 _ => {}
             }
@@ -700,12 +708,13 @@ impl ModelStore {
                 artifact: format!("periodic@{device}"),
                 key: format!("{dest}|{proto}"),
             })?;
-        let user = behaviot::UserActionModels::from_parts(user_models, confidence).map_err(
-            |device| StoreError::Duplicate {
-                artifact: format!("user@{device}"),
-                key: device.to_string(),
-            },
-        )?;
+        let user =
+            behaviot::UserActionModels::from_parts(user_models, confidence).map_err(|device| {
+                StoreError::Duplicate {
+                    artifact: format!("user@{device}"),
+                    key: device.to_string(),
+                }
+            })?;
 
         let system = match contents.get("system") {
             Some(body) => Some(artifacts::parse_system("system", body)?),

@@ -66,7 +66,10 @@ fn fixture() -> (BehavIoT, SystemModel) {
     let a = Ipv4Addr::new(10, 0, 0, 1);
     let b = Ipv4Addr::new(10, 0, 0, 2);
     let periodic = PeriodicModelSet::from_models(
-        vec![mk_periodic(a, "hb.cloud.com", 2), mk_periodic(b, "tele.cloud.com", 1)],
+        vec![
+            mk_periodic(a, "hb.cloud.com", 2),
+            mk_periodic(b, "tele.cloud.com", 1),
+        ],
         PeriodicTrainConfig::default(),
         0.875,
     )
@@ -86,11 +89,9 @@ fn fixture() -> (BehavIoT, SystemModel) {
     )
     .unwrap();
     let forest = RandomForest::from_trees(vec![tree], Some(0.75)).unwrap();
-    let user = UserActionModels::from_parts(
-        vec![(a, vec![(Symbol::intern("on_off"), forest)])],
-        0.9,
-    )
-    .unwrap();
+    let user =
+        UserActionModels::from_parts(vec![(a, vec![(Symbol::intern("on_off"), forest)])], 0.9)
+            .unwrap();
     let mut names = HashMap::new();
     names.insert(a, "plug".to_string());
     names.insert(b, "camera".to_string());
@@ -112,7 +113,11 @@ fn save_fixture(store: &ModelStore, models: &BehavIoT, system: &SystemModel) {
     let cfg = MonitorConfig::default();
     let state = MonitorState {
         last_seen: vec![(
-            (Ipv4Addr::new(10, 0, 0, 1), Symbol::intern("hb.cloud.com"), Proto::Tcp),
+            (
+                Ipv4Addr::new(10, 0, 0, 1),
+                Symbol::intern("hb.cloud.com"),
+                Proto::Tcp,
+            ),
             1234.5,
         )],
         absence_flagged: vec![Ipv4Addr::new(10, 0, 0, 2)],
@@ -385,7 +390,10 @@ fn orphan_sweep_leaves_foreign_files_alone() {
     for name in foreign {
         fs::write(dir.join(name), b"not the store's\n").unwrap();
     }
-    let stale = ["names-0123456789abcdef.tsv", "system-0123456789abcdef.tsv.tmp"];
+    let stale = [
+        "names-0123456789abcdef.tsv",
+        "system-0123456789abcdef.tsv.tmp",
+    ];
     for name in stale {
         fs::write(dir.join(name), b"superseded\n").unwrap();
     }

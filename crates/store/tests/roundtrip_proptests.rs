@@ -92,7 +92,9 @@ fn periodic_model(
     let core_orig: Vec<u32> = (0..n_cores as u32).collect();
     let cluster =
         DbscanModel::from_parts(positive(s(3)), dim, cores, core_orig, vec![0, n_cores]).unwrap();
-    let periods: Vec<f64> = (0..1 + seeds.len() % 3).map(|i| positive(s(i + 11))).collect();
+    let periods: Vec<f64> = (0..1 + seeds.len() % 3)
+        .map(|i| positive(s(i + 11)))
+        .collect();
     PeriodicModel::from_parts(
         device,
         Symbol::intern(dest),

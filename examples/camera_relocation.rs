@@ -9,8 +9,8 @@
 //! ```
 
 use behaviot::deviation::{long_term_deviations_syms, long_term_threshold};
-use behaviot_intern::Symbol;
 use behaviot::system::{SystemModel, SystemModelConfig};
+use behaviot_intern::Symbol;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 

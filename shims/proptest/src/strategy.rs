@@ -56,11 +56,7 @@ macro_rules! impl_tuple_strategy {
         }
     )*};
 }
-impl_tuple_strategy!(
-    (S0.0, S1.1)
-    (S0.0, S1.1, S2.2)
-    (S0.0, S1.1, S2.2, S3.3)
-);
+impl_tuple_strategy!((S0.0, S1.1)(S0.0, S1.1, S2.2)(S0.0, S1.1, S2.2, S3.3));
 
 /// Vector strategy from [`crate::collection::vec`].
 pub struct VecStrategy<S> {

@@ -65,7 +65,9 @@ fn event_table(models: &BehavIoT, flows: &[FlowRecord], par: Parallelism) -> Str
     }
     let mut out = String::new();
     for (device, (user, periodic, other)) in per_device {
-        out.push_str(&format!("{device} user={user} periodic={periodic} other={other}\n"));
+        out.push_str(&format!(
+            "{device} user={user} periodic={periodic} other={other}\n"
+        ));
     }
     out
 }
@@ -134,7 +136,11 @@ fn ten_seeded_plans_uphold_differential_contract() {
         // and the table itself is byte-identical across thread policies.
         let flows_c = assemble_flows(&corrupted.packets, &corrupted.domains, &fc);
         let flows_r = assemble_flows(&reference.packets, &reference.domains, &fc);
-        assert_eq!(flows_c.len(), flows_r.len(), "seed {seed}: flow count diverged");
+        assert_eq!(
+            flows_c.len(),
+            flows_r.len(),
+            "seed {seed}: flow count diverged"
+        );
 
         let table_off = event_table(&models, &flows_c, Parallelism::Off);
         let table_two = event_table(&models, &flows_c, Parallelism::Fixed(2));

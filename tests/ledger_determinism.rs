@@ -136,7 +136,8 @@ fn run_audited(
     range
         .map(|w| {
             let t0 = w as f64 * WINDOW;
-            let devs = monitor.process_window_audited(&window_flows(w), t0, t0 + WINDOW, None, sink);
+            let devs =
+                monitor.process_window_audited(&window_flows(w), t0, t0 + WINDOW, None, sink);
             devs.iter()
                 .map(|d| {
                     format!(

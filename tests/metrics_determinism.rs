@@ -42,10 +42,19 @@ fn snapshots_policy_invariant_and_observability_invisible() {
         snapshots.push(m.snapshot().to_jsonl());
         expositions.push(behaviot_obs::openmetrics::render(&m.snapshot()));
     }
-    assert_eq!(snapshots[0], snapshots[1], "Off vs Fixed(2) snapshots differ");
+    assert_eq!(
+        snapshots[0], snapshots[1],
+        "Off vs Fixed(2) snapshots differ"
+    );
     assert_eq!(snapshots[0], snapshots[2], "Off vs Auto snapshots differ");
-    assert_eq!(expositions[0], expositions[1], "OpenMetrics text policy-variant");
-    assert_eq!(expositions[0], expositions[2], "OpenMetrics text policy-variant");
+    assert_eq!(
+        expositions[0], expositions[1],
+        "OpenMetrics text policy-variant"
+    );
+    assert_eq!(
+        expositions[0], expositions[2],
+        "OpenMetrics text policy-variant"
+    );
     assert_eq!(summaries[0], summaries[1], "pipeline output policy-variant");
     assert_eq!(summaries[0], summaries[2], "pipeline output policy-variant");
 
@@ -93,10 +102,14 @@ fn snapshots_policy_invariant_and_observability_invisible() {
         "monitor.traces",
         "par.maps",
     ] {
-        assert!(snap.counter(nonzero).unwrap() > 0, "counter {nonzero} is zero");
+        assert!(
+            snap.counter(nonzero).unwrap() > 0,
+            "counter {nonzero} is zero"
+        );
     }
     assert!(
-        snap.histogram("dsp.series_len").is_some_and(|h| h.count > 0),
+        snap.histogram("dsp.series_len")
+            .is_some_and(|h| h.count > 0),
         "dsp.series_len histogram empty"
     );
 

@@ -121,7 +121,11 @@ fn periodic_training_identical_to_serial() {
     let reference = PeriodicModelSet::train_with(&w.idle, &cfg, Parallelism::Off);
     for par in PARALLEL_POLICIES {
         let got = PeriodicModelSet::train_with(&w.idle, &cfg, par);
-        assert_eq!(got.len(), reference.len(), "model count differs under {par}");
+        assert_eq!(
+            got.len(),
+            reference.len(),
+            "model count differs under {par}"
+        );
         assert_eq!(
             got.train_coverage, reference.train_coverage,
             "coverage differs under {par}"
@@ -130,7 +134,11 @@ fn periodic_training_identical_to_serial() {
             let g = got
                 .get_borrowed(model.device, model.destination.as_str(), model.proto)
                 .expect("missing group");
-            assert_eq!(g.periods, model.periods, "{} under {par}", model.destination);
+            assert_eq!(
+                g.periods, model.periods,
+                "{} under {par}",
+                model.destination
+            );
         }
     }
 }
@@ -141,7 +149,9 @@ fn forest_identical_to_serial() {
     let x: Vec<Vec<f64>> = (0..240)
         .map(|i| {
             let base = if i % 2 == 0 { 120.0 } else { 640.0 };
-            (0..21).map(|j| base + ((i * 31 + j * 7) % 17) as f64).collect()
+            (0..21)
+                .map(|j| base + ((i * 31 + j * 7) % 17) as f64)
+                .collect()
         })
         .collect();
     let y: Vec<bool> = (0..240).map(|i| i % 2 == 0).collect();

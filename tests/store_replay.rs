@@ -222,7 +222,11 @@ fn kill_and_restore(par: Parallelism, tag: &str) {
     for kill in [1, 4, 6, 8] {
         let mut first = Monitor::new(models.clone(), system.clone(), MonitorConfig::default());
         let pre = run_windows(&mut first, 0..kill);
-        assert_eq!(pre, ref_stream[..kill], "pre-kill stream diverged (k={kill})");
+        assert_eq!(
+            pre,
+            ref_stream[..kill],
+            "pre-kill stream diverged (k={kill})"
+        );
 
         let dir = temp_store(&format!("{tag}-k{kill}"));
         let store = ModelStore::open(&dir).unwrap();
