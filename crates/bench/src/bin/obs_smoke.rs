@@ -14,7 +14,7 @@
 use behaviot_bench::{parallelism_from_args, smoke, ObsSession};
 
 fn main() {
-    let obs = ObsSession::from_args();
+    let obs = ObsSession::from_args_with_ledger();
     let par = parallelism_from_args();
     let mut sink = obs.ledger_sink();
     println!("{}", smoke::run_smoke_audited(par, sink.as_mut()));

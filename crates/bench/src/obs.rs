@@ -8,11 +8,13 @@
 //! recording if a trace destination was requested) and call
 //! [`ObsSession::finish`] before exiting (it writes the Chrome Trace Event
 //! file, the JSONL metrics snapshot, and the OpenMetrics exposition).
-//! Binaries that replay a monitor additionally fetch the deviation-ledger
-//! sink via [`ObsSession::ledger_sink`] and pass it to
-//! `Monitor::process_window_audited`. Binaries whose argument parsers
-//! tolerate unknown flags need no further changes; strict parsers must also
-//! accept the flags.
+//! Binaries that replay a monitor construct it with
+//! [`ObsSession::from_args_with_ledger`], fetch the deviation-ledger sink
+//! via [`ObsSession::ledger_sink`] and pass it to
+//! `Monitor::process_window_audited`; every other binary has no ledger to
+//! write, and [`ObsSession::from_args`] rejects `--ledger-out` there.
+//! Binaries whose argument parsers tolerate unknown flags need no further
+//! changes; strict parsers must also accept the flags.
 
 use behaviot_obs::{FileSink, LedgerSink, NullSink};
 use std::path::PathBuf;
@@ -60,29 +62,59 @@ pub fn flag_from_args(flag: &str) -> Option<String> {
 }
 
 impl ObsSession {
-    /// Parse `--trace`, `--metrics-out`, `--ledger-out` and
-    /// `--openmetrics-out` from the process arguments ([`flag_from_args`]);
-    /// the `BEHAVIOT_TRACE` environment variable supplies the trace path
-    /// when the flag is absent. Enables span recording on the global tracer
-    /// iff a trace destination was requested (metrics recording is on by
+    /// Parse `--trace`, `--metrics-out` and `--openmetrics-out` from the
+    /// process arguments ([`flag_from_args`]) for a binary that runs no
+    /// monitor: `--ledger-out` ends the process with exit status 2 before
+    /// any work is done, since such a run has no ledger to write. The
+    /// `BEHAVIOT_TRACE` environment variable supplies the trace path when
+    /// the flag is absent. Enables span recording on the global tracer iff
+    /// a trace destination was requested (metrics recording is on by
     /// default regardless).
     pub fn from_args() -> Self {
-        let path = |flag: &str| flag_from_args(flag).map(PathBuf::from);
-        let trace_path = path("--trace").or_else(|| {
-            std::env::var("BEHAVIOT_TRACE")
+        Self::from_process_args(false)
+    }
+
+    /// [`ObsSession::from_args`] for a binary that replays a monitor: it
+    /// also accepts `--ledger-out`, the destination of
+    /// [`ObsSession::ledger_sink`].
+    pub fn from_args_with_ledger() -> Self {
+        Self::from_process_args(true)
+    }
+
+    fn from_process_args(ledger: bool) -> Self {
+        let args: Vec<String> = std::env::args().skip(1).collect();
+        let mut session = Self::parse(&args, ledger).unwrap_or_else(|e| {
+            eprintln!("{e}");
+            std::process::exit(2);
+        });
+        if session.trace_path.is_none() {
+            session.trace_path = std::env::var("BEHAVIOT_TRACE")
                 .ok()
                 .filter(|v| !v.is_empty())
-                .map(PathBuf::from)
-        });
-        if trace_path.is_some() {
+                .map(PathBuf::from);
+        }
+        if session.trace_path.is_some() {
             behaviot_obs::tracer().set_enabled(true);
         }
-        Self {
-            trace_path,
-            metrics_path: path("--metrics-out"),
-            ledger_path: path("--ledger-out"),
-            openmetrics_path: path("--openmetrics-out"),
+        session
+    }
+
+    /// The output flags in `args`; `--ledger-out` is an error unless the
+    /// binary writes a `ledger`.
+    fn parse(args: &[String], ledger: bool) -> Result<Self, String> {
+        let path = |flag: &str| flag_value(args, flag).map(|v| v.map(PathBuf::from));
+        let trace_path = path("--trace")?;
+        let metrics_path = path("--metrics-out")?;
+        let ledger_path = path("--ledger-out")?;
+        if ledger_path.is_some() && !ledger {
+            return Err("--ledger-out is not accepted: this binary runs no monitor".into());
         }
+        Ok(Self {
+            trace_path,
+            metrics_path,
+            ledger_path,
+            openmetrics_path: path("--openmetrics-out")?,
+        })
     }
 
     /// The deviation-ledger destination: a buffered [`FileSink`] when
@@ -148,7 +180,7 @@ impl ObsSession {
 
 #[cfg(test)]
 mod tests {
-    use super::flag_value;
+    use super::{flag_value, ObsSession};
 
     fn args(a: &[&str]) -> Vec<String> {
         a.iter().map(|s| s.to_string()).collect()
@@ -212,5 +244,30 @@ mod tests {
         // A prefix of a longer flag is a different flag.
         let a = args(&["--threadsx=3", "--threads-max", "4"]);
         assert_eq!(flag_value(&a, "--threads"), Ok(None));
+    }
+
+    #[test]
+    fn ledger_out_is_rejected_where_no_monitor_runs() {
+        for a in [
+            args(&["--quick", "--ledger-out", "t.jsonl"]),
+            args(&["--seeds", "1", "--ledger-out=led.jsonl"]),
+        ] {
+            let err = ObsSession::parse(&a, false).err().expect("rejected");
+            assert!(err.starts_with("--ledger-out "), "{err}");
+            let session = ObsSession::parse(&a, true).expect("accepted");
+            assert!(session.ledger_path.is_some());
+        }
+        let a = args(&["--quick", "--metrics-out", "m.jsonl"]);
+        let session = ObsSession::parse(&a, false).expect("no ledger asked for");
+        assert!(session.ledger_path.is_none() && session.metrics_path.is_some());
+        // A value error is reported as before, whether or not a ledger is
+        // accepted.
+        let a = args(&["--ledger-out"]);
+        for ledger in [false, true] {
+            assert_eq!(
+                ObsSession::parse(&a, ledger).err(),
+                Some("--ledger-out requires a value".into())
+            );
+        }
     }
 }

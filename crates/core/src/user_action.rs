@@ -1,9 +1,14 @@
 //! User-action models (§4.1 + Appendix B).
 //!
 //! One binary Random Forest per `(device, activity)` over the 21 flow
-//! features. At prediction time all of a device's classifiers run; the
-//! most confident positive wins, and a flow with no positive classifier is
-//! *not* a user event (it falls through to the periodic/aperiodic stages).
+//! features. At prediction time every classifier of the device is offered
+//! the flow; the most confident positive wins, and a flow with no positive
+//! classifier is *not* a user event (it falls through to the
+//! periodic/aperiodic stages). A classifier stops walking its trees as soon
+//! as its mean can no longer reach the confidence threshold or beat the
+//! best so far ([`RandomForest::predict_proba_reaching`]); one that still
+//! can is summed in full, so the winner and its confidence are exactly
+//! those of walking every tree.
 
 use behaviot_flows::{FeatureVector, N_FEATURES};
 use behaviot_forest::{RandomForest, RandomForestConfig};
@@ -164,15 +169,21 @@ impl UserActionModels {
     }
 
     /// Classify a flow of `device`: the most confident positive classifier
-    /// wins; `None` when no classifier fires (not a user event). The
-    /// returned label is an interned [`Symbol`] — no allocation per call.
+    /// wins, and the first of equally confident ones; `None` when no
+    /// classifier fires (not a user event). The returned label is an
+    /// interned [`Symbol`] — no allocation per call. Each classifier counts
+    /// as one `forest.predictions`, whether or not its walk stops early.
     pub fn classify(&self, device: Ipv4Addr, features: &FeatureVector) -> Option<(Symbol, f64)> {
         debug_assert_eq!(features.len(), N_FEATURES);
         let dev_models = self.models.get(&device)?;
         predictions_counter().add(dev_models.len() as u64);
         let mut best: Option<(Symbol, f64)> = None;
         for (act, forest) in dev_models {
-            let p = forest.predict_proba(features);
+            // A best so far is at least the threshold, so it is the bound.
+            let bound = best.map_or(self.confidence_threshold, |(_, bp)| bp);
+            let Some(p) = forest.predict_proba_reaching(features, bound) else {
+                continue;
+            };
             if p >= self.confidence_threshold && best.is_none_or(|(_, bp)| p > bp) {
                 best = Some((*act, p));
             }

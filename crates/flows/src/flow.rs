@@ -111,35 +111,59 @@ impl Unordered {
 }
 
 /// Assemble packets into per-flow bursts with features and domain
-/// annotations.
+/// annotations, ordered by burst start (ties keep the order in which the
+/// flows were first seen).
 ///
-/// Packets not involving any local address are dropped (transit noise).
-/// For device-to-device flows, the flow is attributed to the endpoint that
-/// sent the first packet (the initiator).
+/// Packets not involving any local address are dropped (transit noise),
+/// and so are packets whose timestamp is not finite: the result equals
+/// assembling only the finite packets. For device-to-device flows, the
+/// flow is attributed to the endpoint that sent the first packet (the
+/// initiator).
+///
+/// The work is done in a handful of flat buffers, so the number of heap
+/// allocations grows only with their doublings, not with the number of
+/// flows: packet indices sorted by `(ts, index)` (the order a stable sort
+/// by time gives), one flow id per 5-tuple in first-sight order, the
+/// packets of every flow counting-sorted into one buffer, and one small
+/// `(start, index)` key per burst to order the output.
+///
+/// # Panics
+///
+/// If `packets` holds more than `u32::MAX` packets (over 128 GiB of them).
 pub fn assemble_flows(
     packets: &[GatewayPacket],
     domains: &DomainTable,
     cfg: &FlowConfig,
 ) -> Vec<FlowRecord> {
     let mut span = behaviot_obs::span!("flows.assemble", packets = packets.len());
-    let mut sorted: Vec<&GatewayPacket> = packets.iter().collect();
-    sorted.sort_by(|a, b| a.ts.total_cmp(&b.ts));
+    assert!(
+        packets.len() <= u32::MAX as usize,
+        "a window holds at most u32::MAX packets"
+    );
+    let local = |ip| is_local(ip, cfg.subnet, cfg.prefix_len);
 
-    // Group by unordered 5-tuple, fixing orientation at first sight.
-    let mut flows: FxHashMap<Unordered, (FlowKey, Vec<PacketView>)> = FxHashMap::default();
-    let mut order: Vec<Unordered> = Vec::new();
-    for p in sorted {
-        let src_local = is_local(p.src, cfg.subnet, cfg.prefix_len);
-        let dst_local = is_local(p.dst, cfg.subnet, cfg.prefix_len);
-        if !src_local && !dst_local {
-            continue;
+    // Chronological order over the packets that can join a flow.
+    let mut order: Vec<u32> = Vec::with_capacity(packets.len());
+    for (i, p) in packets.iter().enumerate() {
+        if p.ts.is_finite() && (local(p.src) || local(p.dst)) {
+            order.push(i as u32);
         }
-        let uk = Unordered::of(p);
-        let entry = flows.entry(uk).or_insert_with(|| {
-            order.push(uk);
-            // Orientation: prefer the local src as the device; if the
-            // sender is remote, the local dst is the device.
-            let key = if src_local {
+    }
+    order.sort_unstable_by(|&a, &b| {
+        let (pa, pb) = (&packets[a as usize], &packets[b as usize]);
+        pa.ts.total_cmp(&pb.ts).then(a.cmp(&b))
+    });
+
+    // Flow ids in first-sight order; orientation is fixed at first sight.
+    let mut ids: FxHashMap<Unordered, u32> = FxHashMap::default();
+    let mut keys: Vec<FlowKey> = Vec::new();
+    let mut flow_of: Vec<u32> = Vec::with_capacity(order.len());
+    for &i in &order {
+        let p = &packets[i as usize];
+        let id = *ids.entry(Unordered::of(p)).or_insert_with(|| {
+            // Prefer the local src as the device; if the sender is remote,
+            // the local dst is the device.
+            keys.push(if local(p.src) {
                 FlowKey {
                     device: p.src,
                     remote: p.dst,
@@ -155,52 +179,84 @@ pub fn assemble_flows(
                     remote_port: p.src_port,
                     proto: p.proto,
                 }
-            };
-            (key, Vec::new())
+            });
+            (keys.len() - 1) as u32
         });
-        let key = &entry.0;
-        entry.1.push(PacketView {
+        flow_of.push(id);
+    }
+
+    // Counting sort: flow `f` owns `views[offsets[f]..offsets[f + 1]]`,
+    // filled in time order.
+    let mut offsets: Vec<usize> = vec![0; keys.len() + 1];
+    for &f in &flow_of {
+        offsets[f as usize + 1] += 1;
+    }
+    for f in 0..keys.len() {
+        offsets[f + 1] += offsets[f];
+    }
+    let mut fill = offsets.clone();
+    let blank = PacketView {
+        ts: 0.0,
+        bytes: 0,
+        outbound: false,
+        remote_is_local: false,
+    };
+    let mut views = vec![blank; order.len()];
+    for (&i, &f) in order.iter().zip(&flow_of) {
+        let p = &packets[i as usize];
+        let key = &keys[f as usize];
+        views[fill[f as usize]] = PacketView {
             ts: p.ts,
             bytes: p.bytes,
             outbound: p.src == key.device && p.src_port == key.device_port,
-            remote_is_local: is_local(key.remote, cfg.subnet, cfg.prefix_len),
-        });
+            remote_is_local: local(key.remote),
+        };
+        fill[f as usize] += 1;
     }
 
-    // Split each flow into bursts and annotate. One scratch serves every
-    // extraction — this loop runs once per burst over the whole capture.
-    let mut scratch = FeatureScratch::new();
-    let mut out = Vec::new();
-    for uk in order {
-        let (key, pkts) = &flows[&uk];
-        let mut burst_start = 0usize;
-        for i in 1..=pkts.len() {
-            let split = i == pkts.len() || pkts[i].ts - pkts[i - 1].ts > cfg.burst_gap;
-            if !split {
-                continue;
+    // Bursts `(flow, begin, end)` flow by flow, split at gaps over
+    // `burst_gap`; then ordered by `(start, emission index)`, the order a
+    // stable sort of the finished records by start gives.
+    let mut bursts: Vec<(u32, usize, usize)> = Vec::with_capacity(keys.len());
+    for f in 0..keys.len() {
+        let (lo, hi) = (offsets[f], offsets[f + 1]);
+        let mut begin = lo;
+        for i in lo + 1..=hi {
+            if i == hi || views[i].ts - views[i - 1].ts > cfg.burst_gap {
+                bursts.push((f as u32, begin, i));
+                begin = i;
             }
-            let burst = &pkts[burst_start..i];
-            burst_start = i;
-            if burst.is_empty() {
-                continue;
-            }
-            let features = extract_with(burst, &mut scratch);
-            out.push(FlowRecord {
-                device: key.device,
-                remote: key.remote,
-                device_port: key.device_port,
-                remote_port: key.remote_port,
-                proto: key.proto,
-                domain: domains.resolve(key.remote),
-                start: burst[0].ts,
-                end: burst[burst.len() - 1].ts,
-                n_packets: burst.len(),
-                total_bytes: burst.iter().map(|p| p.bytes as u64).sum(),
-                features,
-            });
         }
     }
-    out.sort_by(|a, b| a.start.total_cmp(&b.start));
+    let mut by_start: Vec<(f64, u32)> = bursts
+        .iter()
+        .enumerate()
+        .map(|(e, &(_, begin, _))| (views[begin].ts, e as u32))
+        .collect();
+    by_start.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+
+    // The table does not change during the call: one lookup per flow.
+    let names: Vec<Option<Symbol>> = keys.iter().map(|k| domains.resolve(k.remote)).collect();
+    // One scratch serves every extraction.
+    let mut scratch = FeatureScratch::new();
+    let mut out = Vec::with_capacity(bursts.len());
+    for &(_, e) in &by_start {
+        let (f, begin, end) = bursts[e as usize];
+        let (key, burst) = (&keys[f as usize], &views[begin..end]);
+        out.push(FlowRecord {
+            device: key.device,
+            remote: key.remote,
+            device_port: key.device_port,
+            remote_port: key.remote_port,
+            proto: key.proto,
+            domain: names[f as usize],
+            start: burst[0].ts,
+            end: burst[burst.len() - 1].ts,
+            n_packets: burst.len(),
+            total_bytes: burst.iter().map(|p| p.bytes as u64).sum(),
+            features: extract_with(burst, &mut scratch),
+        });
+    }
     behaviot_obs::metrics()
         .counter("flows.assembled")
         .add(out.len() as u64);
@@ -353,5 +409,56 @@ mod tests {
     #[test]
     fn empty_input() {
         assert!(assemble_flows(&[], &DomainTable::new(), &cfg()).is_empty());
+    }
+
+    #[test]
+    fn non_finite_timestamps_are_skipped() {
+        let at = |ts| pkt(ts, DEV, 40000, SRV, 443, 100);
+        let cases = [
+            vec![at(0.0), at(0.1), at(f64::NAN), at(0.2)],
+            vec![
+                at(0.0),
+                at(f64::INFINITY),
+                at(f64::INFINITY),
+                at(f64::INFINITY),
+            ],
+            vec![at(-f64::NAN), at(f64::NEG_INFINITY), at(3.0), at(0.5)],
+        ];
+        for pkts in cases {
+            let finite: Vec<GatewayPacket> =
+                pkts.iter().filter(|p| p.ts.is_finite()).cloned().collect();
+            let got = assemble_flows(&pkts, &DomainTable::new(), &cfg());
+            let want = assemble_flows(&finite, &DomainTable::new(), &cfg());
+            assert!(!want.is_empty());
+            assert_eq!(format!("{got:?}"), format!("{want:?}"));
+        }
+    }
+
+    #[test]
+    fn equal_starts_keep_first_sight_order() {
+        // Bursts that start at the same instant come in the order their
+        // flows were first seen; at equal times the lower input index is
+        // seen first. DEV2's flow is seen at 0.0, before DEV's port 40001
+        // at 3.0, so its second burst leads the 3.0 tie.
+        let pkts = [
+            pkt(3.0, DEV, 40001, SRV, 443, 100),
+            pkt(0.0, DEV, 40000, SRV, 443, 100),
+            pkt(0.0, DEV2, 40000, SRV, 443, 100),
+            pkt(3.0, DEV2, 40000, SRV, 443, 100),
+        ];
+        let flows = assemble_flows(&pkts, &DomainTable::new(), &cfg());
+        let seen: Vec<(Ipv4Addr, u16, f64)> = flows
+            .iter()
+            .map(|f| (f.device, f.device_port, f.start))
+            .collect();
+        assert_eq!(
+            seen,
+            [
+                (DEV, 40000, 0.0),
+                (DEV2, 40000, 0.0),
+                (DEV2, 40000, 3.0),
+                (DEV, 40001, 3.0),
+            ]
+        );
     }
 }

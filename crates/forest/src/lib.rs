@@ -5,7 +5,8 @@
 //! because it is lightweight (deployable on a home router) and works with
 //! limited training samples. At prediction time the positive classifier with
 //! the highest confidence wins; if none is positive the flow is not a user
-//! event.
+//! event. A classifier that can no longer win stops walking its trees
+//! ([`RandomForest::predict_proba_reaching`]).
 //!
 //! This crate implements CART decision trees (Gini impurity) and bagged
 //! forests with per-split feature subsampling and out-of-bag scoring, from

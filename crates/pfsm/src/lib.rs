@@ -14,8 +14,7 @@
 //!   state merging), transition probabilities with additive smoothing,
 //!   acceptance and Viterbi trace scoring,
 //! * [`seqgraph::SeqGraph`] — the naive "parallel event sequences" baseline
-//!   the paper compares model sizes against in Fig. 3,
-//! * DOT export for visual inspection.
+//!   the paper compares model sizes against in Fig. 3.
 //!
 //! Properties reproduced from §5.2: the PFSM accepts every trace used to
 //! build it; it also accepts unseen recombinations/permutations of seen

@@ -1,7 +1,8 @@
 # Recipes mirror scripts/; `just` is optional, the scripts are the source
 # of truth for CI-less environments.
 
-# Build + full tests + determinism (threads 2 and off) + clippy -D warnings
+# rustfmt check + build + full tests + determinism (threads 2 and off) +
+# alloc contracts + clippy -D warnings + rustdoc -D warnings
 verify:
     scripts/verify.sh
 

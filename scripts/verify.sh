@@ -1,13 +1,17 @@
 #!/usr/bin/env bash
-# Repo verification gate: build, full test suite, the parallel-determinism
-# contract under an explicit thread count and under `off`, clippy with
-# warnings denied on every workspace crate, rustdoc with warnings denied
-# (dangling doc links fail), and the parity references the rewritten DSP
-# and clustering cores are checked against.
+# Repo verification gate: rustfmt (the tree must be `cargo fmt`-clean),
+# build, full test suite, the parallel-determinism contract under an
+# explicit thread count and under `off`, the allocation contracts, clippy
+# with warnings denied on every workspace crate, rustdoc with warnings
+# denied (dangling doc links fail), and the parity references the
+# rewritten DSP and clustering cores are checked against.
 #
 # Usage: scripts/verify.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
+
+echo "==> rustfmt: the workspace is formatted"
+cargo fmt --all --check
 
 echo "==> cargo build --release"
 cargo build --release --all-targets
@@ -42,6 +46,9 @@ cargo test --release -q -p behaviot --test classify_alloc
 
 echo "==> alloc contract: frame classification (TCP/UDP/ARP/corrupt TCP) allocates nothing"
 cargo test --release -q -p behaviot-flows --test classify_frame_alloc
+
+echo "==> alloc contract: flow assembly allocates per buffer doubling, not per flow"
+cargo test --release -q -p behaviot-flows --test assemble_alloc
 
 echo "==> alloc contract: steady-state monitor windows (plain + audited) allocate nothing"
 cargo test --release -q -p behaviot --test monitor_alloc
