@@ -10,6 +10,7 @@ use crate::prep::Prepared;
 use behaviot::system::{traces_from_events_syms, SystemModel, SystemModelConfig};
 use behaviot::{DeviationKind, Monitor, MonitorConfig};
 use behaviot_flows::{assemble_flows, FlowConfig};
+use behaviot_obs::NullSink;
 use behaviot_sim::{self as sim, IncidentScript, UncontrolledConfig};
 
 /// Run the uncontrolled experiment and render both Fig. 5 panels.
@@ -38,18 +39,18 @@ pub fn fig5(p: &Prepared) -> String {
     for day in 0..days {
         let cap = sim::uncontrolled_day(&p.catalog, seed, day, &cfg);
         let flows = assemble_flows(&cap.packets, &cap.domains, &FlowConfig::default());
-        let devs = monitor.process_window(&flows, cap.start, cap.end);
+        let devs = monitor.process_window_audited(&flows, cap.start, cap.end, None, &mut NullSink);
         let n_short = devs
             .iter()
-            .filter(|d| d.kind == DeviationKind::ShortTerm)
+            .filter(|d| d.kind() == DeviationKind::ShortTerm)
             .count();
         let n_long = devs
             .iter()
-            .filter(|d| d.kind == DeviationKind::LongTerm)
+            .filter(|d| d.kind() == DeviationKind::LongTerm)
             .count();
         let n_per = devs
             .iter()
-            .filter(|d| d.kind == DeviationKind::PeriodicTiming)
+            .filter(|d| d.kind() == DeviationKind::PeriodicTiming)
             .count();
         tot_short += n_short;
         tot_long += n_long;
@@ -61,9 +62,9 @@ pub fn fig5(p: &Prepared) -> String {
         if n_short + n_long > 0 || !note.is_empty() {
             let subjects: Vec<String> = devs
                 .iter()
-                .filter(|d| d.kind != DeviationKind::PeriodicTiming)
+                .filter(|d| d.kind() != DeviationKind::PeriodicTiming)
                 .take(2)
-                .map(|d| d.subject.clone())
+                .map(|d| d.subject())
                 .collect();
             user_rows.push(format!(
                 "day {day:>3}: short-term {n_short:>2}  long-term {n_long:>2}  {note}{}",
@@ -77,9 +78,9 @@ pub fn fig5(p: &Prepared) -> String {
         if n_per > 0 || !note.is_empty() {
             let subjects: Vec<String> = devs
                 .iter()
-                .filter(|d| d.kind == DeviationKind::PeriodicTiming)
+                .filter(|d| d.kind() == DeviationKind::PeriodicTiming)
                 .take(3)
-                .map(|d| d.subject.clone())
+                .map(|d| d.subject())
                 .collect();
             periodic_rows.push(format!(
                 "day {day:>3}: periodic {n_per:>2}  {note}{}",

@@ -88,6 +88,10 @@ pub struct LongTermDeviation {
     pub from: Symbol,
     /// Destination state label ("FINAL" for the end state).
     pub to: Symbol,
+    /// Device of the source state's event (`None` for INITIAL).
+    pub from_device: Option<Symbol>,
+    /// Device of the destination state's event (`None` for FINAL).
+    pub to_device: Option<Symbol>,
     /// Transition probability in the model (`p0`).
     pub model_p: f64,
     /// Observed transition probability in the new window (`p`).
@@ -179,6 +183,8 @@ impl LongTermAccumulator {
                 self.results.push(LongTermDeviation {
                     from: state_label_sym(model, from),
                     to: state_label_sym(model, to),
+                    from_device: model.state_device(from),
+                    to_device: model.state_device(to),
                     model_p: p0,
                     observed_p: p,
                     n,

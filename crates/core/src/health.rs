@@ -27,12 +27,12 @@
 //! The registry is keyed and iterated via `BTreeMap<Symbol, _>` — [`Symbol`]
 //! ordering is resolved-string ordering — so per-window transition records
 //! and the exported state are in device-name order regardless of how the
-//! per-window deviant/seen sets were accumulated. All inputs (deviation
-//! stream, drop counters) are themselves policy-invariant, so health
-//! outputs inherit the byte-determinism contract.
+//! per-window seen set was accumulated. All inputs (deviation stream, drop
+//! counters) are themselves policy-invariant, so health outputs inherit
+//! the byte-determinism contract.
 
-use crate::monitor::DeviationKind;
-use behaviot_intern::{FxHashMap, FxHashSet, Symbol};
+use crate::monitor::{Deviation, DeviationKind};
+use behaviot_intern::{FxHashSet, Symbol};
 use std::collections::BTreeMap;
 use std::sync::OnceLock;
 
@@ -217,8 +217,10 @@ impl HealthRegistry {
     /// Fold one window into every registered device and return the state
     /// transitions it caused, in device-name order.
     ///
-    /// - `deviant`: devices implicated in a deviation this window (the kind
-    ///   tags the transition reason). Symbols not registered are ignored.
+    /// - `deviations`: the window's deviations in emission order. A device
+    ///   is implicated when a deviation's cause names it; the kind of the
+    ///   first such deviation tags the transition reason. Implicated
+    ///   devices that are not registered are ignored.
     /// - `seen`: devices with at least one inferred event this window.
     /// - `drop_frac`: the ingest gates' drop fraction for this window
     ///   (0 when no ingest report is in scope).
@@ -227,7 +229,7 @@ impl HealthRegistry {
     /// high-water mark and no transitions fire (the healthy steady state).
     pub fn observe_window(
         &mut self,
-        deviant: &FxHashMap<Symbol, DeviationKind>,
+        deviations: &[Deviation],
         seen: &FxHashSet<Symbol>,
         drop_frac: f64,
     ) -> &[HealthTransition] {
@@ -242,10 +244,10 @@ impl HealthRegistry {
                 h.silent_windows = h.silent_windows.saturating_add(1);
             }
             let mut reason = "";
-            if let Some(kind) = deviant.get(&device) {
+            if let Some(d) = deviations.iter().find(|d| d.implicates(device)) {
                 h.clean_streak = 0;
                 h.state = HealthState::Deviant;
-                reason = match kind {
+                reason = match d.kind() {
                     DeviationKind::PeriodicTiming => "deviation:periodic",
                     DeviationKind::ShortTerm => "deviation:short-term",
                     DeviationKind::LongTerm => "deviation:long-term",
@@ -351,9 +353,42 @@ impl HealthRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::monitor::DeviationCause;
 
     fn sym(s: &str) -> Symbol {
         Symbol::intern(s)
+    }
+
+    /// A deviation of `kind` implicating `device` alone.
+    fn implicating(device: &str, kind: DeviationKind) -> Deviation {
+        let device = sym(device);
+        let cause = match kind {
+            DeviationKind::PeriodicTiming => DeviationCause::Gap {
+                device,
+                dest: sym("cloud.example"),
+                gap: 500.0,
+                period: 100.0,
+            },
+            DeviationKind::ShortTerm => DeviationCause::Trace {
+                events: vec![(sym("label"), device)],
+                log10_prob: -9.0,
+            },
+            DeviationKind::LongTerm => DeviationCause::Transition {
+                from: sym("INITIAL"),
+                to: sym("label"),
+                from_device: None,
+                to_device: Some(device),
+                observed_p: 0.9,
+                model_p: 0.1,
+                n: 20,
+            },
+        };
+        Deviation {
+            ts: 0.0,
+            score: 10.0,
+            threshold: 1.0,
+            cause,
+        }
     }
 
     fn observe(
@@ -362,10 +397,9 @@ mod tests {
         seen: &[&str],
         drop_frac: f64,
     ) -> Vec<HealthTransition> {
-        let deviant: FxHashMap<Symbol, DeviationKind> =
-            deviant.iter().map(|&(d, k)| (sym(d), k)).collect();
+        let deviations: Vec<Deviation> = deviant.iter().map(|&(d, k)| implicating(d, k)).collect();
         let seen: FxHashSet<Symbol> = seen.iter().map(|&d| sym(d)).collect();
-        reg.observe_window(&deviant, &seen, drop_frac).to_vec()
+        reg.observe_window(&deviations, &seen, drop_frac).to_vec()
     }
 
     #[test]
@@ -527,6 +561,39 @@ mod tests {
             let b = observe(&mut rest, &[], &["a", "b"], 0.0);
             assert_eq!(a, b);
         }
+    }
+
+    #[test]
+    fn first_implicating_deviation_names_the_reason() {
+        let mut reg = HealthRegistry::new(HealthConfig::default());
+        for d in ["cam", "hub", "plug"] {
+            reg.register(sym(d));
+        }
+        // Emission order: a gap on the hub, then a trace through cam and
+        // hub, then a transition into plug.
+        let trace = Deviation {
+            cause: DeviationCause::Trace {
+                events: vec![(sym("cam:motion"), sym("cam")), (sym("hub:on"), sym("hub"))],
+                log10_prob: -9.0,
+            },
+            ..implicating("cam", DeviationKind::ShortTerm)
+        };
+        let deviations = [
+            implicating("hub", DeviationKind::PeriodicTiming),
+            trace,
+            implicating("plug", DeviationKind::LongTerm),
+        ];
+        let seen: FxHashSet<Symbol> = FxHashSet::default();
+        let t = reg.observe_window(&deviations, &seen, 0.0).to_vec();
+        let reasons: Vec<(&str, &str)> = t.iter().map(|t| (t.device.as_str(), t.reason)).collect();
+        assert_eq!(
+            reasons,
+            [
+                ("cam", "deviation:short-term"),
+                ("hub", "deviation:periodic"),
+                ("plug", "deviation:long-term"),
+            ]
+        );
     }
 
     #[test]

@@ -81,7 +81,9 @@ pub mod user_action;
 pub use event::{EventKind, InferredEvent};
 pub use events::{BehavIoT, EventScratch, TrainConfig, TrainingData};
 pub use health::{HealthConfig, HealthExport, HealthRegistry, HealthState, HealthTransition};
-pub use monitor::{Deviation, DeviationKind, Monitor, MonitorConfig, MonitorState, WindowIngest};
+pub use monitor::{
+    Deviation, DeviationCause, DeviationKind, Monitor, MonitorConfig, MonitorState, WindowIngest,
+};
 pub use periodic::{
     GroupKey, PeriodicModel, PeriodicModelSet, PeriodicTimers, PeriodicTrainConfig,
 };

@@ -1,12 +1,17 @@
 //! The behavior monitor: applies the deviation metrics to streaming
 //! capture windows and reports significant deviations (§4.3/§6.2).
 //!
+//! Each [`Deviation`] carries a typed [`DeviationCause`]: the evidence
+//! captured while its metric was computed and the devices it implicates.
+//! The audit ledger and the health registry read those fields; the
+//! report strings ([`Deviation::subject`], [`Deviation::detail`]) are
+//! renderings of them.
+//!
 //! The serving path is symbol-native and allocation-disciplined: steady
 //! state (warmed scratch, healthy traffic) performs **zero** heap
-//! allocations per window beyond emitted [`Deviation`] report strings —
-//! pinned by `tests/monitor_alloc.rs`; the deviation stream is byte-
-//! identical to the pre-rewrite String pipeline — pinned by
-//! `tests/monitor_parity.rs`.
+//! allocations per window — pinned by `tests/monitor_alloc.rs`; the
+//! rendered deviation stream is byte-identical to the pre-rewrite String
+//! pipeline — pinned by `tests/monitor_parity.rs`.
 
 use crate::deviation::{
     long_term_threshold, periodic_metric_multi_explain, LongTermAccumulator, PERIODIC_THRESHOLD,
@@ -20,8 +25,9 @@ use behaviot_flows::FlowRecord;
 use behaviot_intern::{FxHashMap, FxHashSet, Symbol};
 use behaviot_net::IngestReport;
 use behaviot_obs::ledger::{write_json_f64, write_json_str};
-use behaviot_obs::{LedgerSink, NullSink};
+use behaviot_obs::LedgerSink;
 use behaviot_pfsm::{EventId, ScoreScratch};
+use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::net::Ipv4Addr;
 use std::sync::OnceLock;
@@ -69,23 +75,151 @@ impl DeviationKind {
     }
 }
 
-/// A reported deviation: when, what, how large, and an explanation a
-/// human (or an anomaly-detection system, §7.2) can act on.
+/// A reported deviation: when, how large, and the typed cause a human
+/// (or an anomaly-detection system, §7.2) can act on.
 #[derive(Debug, Clone)]
 pub struct Deviation {
     /// Time the deviation was measured (window-relative events use their
     /// own time; absence checks use the window end).
     pub ts: f64,
-    /// Raising metric.
-    pub kind: DeviationKind,
     /// Metric value.
     pub score: f64,
     /// Threshold it exceeded.
     pub threshold: f64,
-    /// Affected subject: device name, destination, or trace description.
-    pub subject: String,
+    /// What raised it: the evidence and the implicated devices.
+    pub cause: DeviationCause,
+}
+
+/// Why a [`Deviation`] was raised. The evidence is captured from the
+/// metric computation itself — the timer and period behind a periodic
+/// score, the Viterbi probability behind a trace score, the z-test inputs
+/// behind a long-term score — and the implicated devices are resolved
+/// when the deviation is emitted. Device symbols are the labels the
+/// health registry is keyed by: the device name when known, the dotted
+/// address otherwise.
+#[derive(Debug, Clone)]
+pub enum DeviationCause {
+    /// An observed inter-event gap scored off schedule.
+    Gap {
+        /// The device of the periodic group.
+        device: Symbol,
+        /// The group's destination.
+        dest: Symbol,
+        /// Observed gap (seconds).
+        gap: f64,
+        /// Best-matching period (seconds).
+        period: f64,
+    },
+    /// A silent periodic group's count-up timer ran past its period.
+    Absence {
+        /// The device of the periodic group.
+        device: Symbol,
+        /// The group's destination.
+        dest: Symbol,
+        /// Silence up to the window end (seconds).
+        elapsed: f64,
+        /// Best-matching period (seconds).
+        period: f64,
+    },
+    /// The testbed-outage collapse of many simultaneous absences.
+    Outage {
+        /// Every silent device, sorted by name.
+        devices: Vec<Symbol>,
+    },
+    /// A user-event trace scored improbable under the PFSM.
+    Trace {
+        /// `(label, device)` of each kept user event, in trace order.
+        events: Vec<(Symbol, Symbol)>,
+        /// Viterbi log10-probability of the trace.
+        log10_prob: f64,
+    },
+    /// A transition frequency failed the long-term z-test.
+    Transition {
+        /// Source state label.
+        from: Symbol,
+        /// Destination state label.
+        to: Symbol,
+        /// Device of the source state's event (`None` for INITIAL).
+        from_device: Option<Symbol>,
+        /// Device of the destination state's event (`None` for FINAL).
+        to_device: Option<Symbol>,
+        /// Observed transition probability in the window.
+        observed_p: f64,
+        /// Transition probability in the model.
+        model_p: f64,
+        /// Departures from the source state in the window.
+        n: usize,
+    },
+}
+
+impl Deviation {
+    /// The metric that raised the deviation.
+    pub fn kind(&self) -> DeviationKind {
+        match self.cause {
+            DeviationCause::Gap { .. }
+            | DeviationCause::Absence { .. }
+            | DeviationCause::Outage { .. } => DeviationKind::PeriodicTiming,
+            DeviationCause::Trace { .. } => DeviationKind::ShortTerm,
+            DeviationCause::Transition { .. } => DeviationKind::LongTerm,
+        }
+    }
+
+    /// Does the cause implicate `device`?
+    pub fn implicates(&self, device: Symbol) -> bool {
+        match &self.cause {
+            DeviationCause::Gap { device: d, .. } | DeviationCause::Absence { device: d, .. } => {
+                *d == device
+            }
+            DeviationCause::Outage { devices } => devices.contains(&device),
+            DeviationCause::Trace { events, .. } => events.iter().any(|&(_, d)| d == device),
+            DeviationCause::Transition {
+                from_device,
+                to_device,
+                ..
+            } => *from_device == Some(device) || *to_device == Some(device),
+        }
+    }
+
+    /// Affected subject: device name, outage size, trace, or transition.
+    pub fn subject(&self) -> String {
+        match &self.cause {
+            DeviationCause::Gap { device, .. } | DeviationCause::Absence { device, .. } => {
+                device.as_str().to_string()
+            }
+            DeviationCause::Outage { devices } => format!("{} devices", devices.len()),
+            DeviationCause::Trace { events, .. } => {
+                let labels: Vec<&str> = events.iter().map(|(label, _)| label.as_str()).collect();
+                labels.join(" -> ")
+            }
+            DeviationCause::Transition { from, to, .. } => format!("{from} -> {to}"),
+        }
+    }
+
     /// Human-readable explanation.
-    pub detail: String,
+    pub fn detail(&self) -> String {
+        match &self.cause {
+            DeviationCause::Gap { dest, .. } => {
+                format!("periodic traffic to {dest} arrived off schedule")
+            }
+            DeviationCause::Absence { dest, .. } => {
+                format!("periodic traffic to {dest} is overdue (possible outage)")
+            }
+            DeviationCause::Outage { .. } => {
+                "periodic traffic overdue across the testbed (network outage)".to_string()
+            }
+            DeviationCause::Trace { .. } => {
+                "user-event trace is improbable under the system model".to_string()
+            }
+            DeviationCause::Transition {
+                observed_p,
+                model_p,
+                n,
+                ..
+            } => format!(
+                "transition frequency {observed_p:.2} deviates from modeled {model_p:.2} over {n} departures"
+            ),
+        }
+    }
 }
 
 /// Monitor thresholds/configuration (defaults = the paper's §5.3 choices).
@@ -154,14 +288,16 @@ struct MonitorScratch {
     events: Vec<InferredEvent>,
     /// Event-inference scratch (sort index, user hits, periodic timers).
     infer: EventScratch,
-    /// User events awaiting trace segmentation:
-    /// `(ts, arrival index, label, device is known to the system model)`.
-    user_buf: Vec<(f64, u32, Symbol, bool)>,
-    /// `(device, activity)` → `(label, keep)` — renders `"<device>:<act>"`
-    /// once per pair instead of once per event.
-    label_cache: FxHashMap<(Ipv4Addr, Symbol), (Symbol, bool)>,
+    /// User events awaiting trace segmentation: `(ts, arrival index,
+    /// label, device, device is known to the system model)`.
+    user_buf: Vec<(f64, u32, Symbol, Symbol, bool)>,
+    /// `(device, activity)` → `(label, device, keep)` — renders
+    /// `"<device>:<act>"` once per pair instead of once per event.
+    label_cache: FxHashMap<(Ipv4Addr, Symbol), (Symbol, Symbol, bool)>,
     /// Kept trace labels, all traces concatenated (CSR values).
     trace_labels: Vec<Symbol>,
+    /// Device of each entry of `trace_labels`, pushed alongside it.
+    trace_devices: Vec<Symbol>,
     /// CSR row bounds into `trace_labels`; trace `i` spans
     /// `trace_bounds[i]..trace_bounds[i + 1]`.
     trace_bounds: Vec<u32>,
@@ -171,50 +307,20 @@ struct MonitorScratch {
     score: ScoreScratch,
     /// Long-term transition-counting scratch.
     longterm: LongTermAccumulator,
-    /// Causal evidence aligned index-for-index with the window's emitted
-    /// deviations (the audit ledger's `evidence` object).
-    evidence: Vec<Evidence>,
     /// Ledger line render buffer, reused record to record.
     line: String,
-    /// Devices implicated in a deviation this window (health attribution;
-    /// never iterated, so reused capacity cannot affect emission order).
-    deviant: FxHashMap<Symbol, DeviationKind>,
     /// Devices with at least one inferred event this window.
     seen: FxHashSet<Symbol>,
 }
 
-/// Causal evidence for one emitted [`Deviation`], rendered into the audit
-/// ledger. Everything here is captured from the metric computation itself
-/// — the timer and period behind a periodic score, the Viterbi probability
-/// behind a trace score, the z-test inputs behind a long-term score.
-#[derive(Debug, Clone, Copy)]
-enum Evidence {
-    /// An observed inter-event gap scored off schedule.
-    Gap {
-        device: Ipv4Addr,
-        dest: Symbol,
-        gap: f64,
-        period: f64,
-    },
-    /// A silent periodic group's count-up timer ran past its period.
-    Absence {
-        device: Ipv4Addr,
-        dest: Symbol,
-        elapsed: f64,
-        period: f64,
-    },
-    /// The testbed-outage collapse of many simultaneous absences.
-    Outage { devices: usize },
-    /// A user-event trace scored improbable under the PFSM.
-    Trace { events: usize, log10_prob: f64 },
-    /// A transition frequency failed the long-term z-test.
-    Transition {
-        from: Symbol,
-        to: Symbol,
-        observed_p: f64,
-        model_p: f64,
-        n: usize,
-    },
+/// A device's label: its name when known, its dotted address otherwise —
+/// the prefix of its `"<device>:<activity>"` trace labels and its key in
+/// the health registry.
+fn device_sym(names: &HashMap<Ipv4Addr, String>, ip: Ipv4Addr) -> Symbol {
+    match names.get(&ip) {
+        Some(name) => Symbol::intern(name),
+        None => Symbol::intern_ipv4(ip),
+    }
 }
 
 /// Ingest accounting in effect for one monitor window: the gate counters
@@ -263,9 +369,9 @@ pub struct Monitor {
     st_threshold: f64,
     /// Long-term critical z-value, fixed by the configuration.
     lt_crit: f64,
-    /// Device address → interned display label (the name when known, the
-    /// dotted address otherwise), built at construction so health
-    /// attribution and ledger rendering never allocate per window.
+    /// Device address → label ([`device_sym`]) of every named device and
+    /// every device with a periodic model, built at construction so
+    /// emission and the health fold never allocate per window.
     device_syms: FxHashMap<Ipv4Addr, Symbol>,
     /// Optional per-device health state machine (see [`HealthRegistry`]).
     health: Option<HealthRegistry>,
@@ -282,17 +388,13 @@ impl Monitor {
         let st_threshold = system.short_term_threshold(cfg.short_sigma);
         let lt_crit = long_term_threshold(cfg.long_confidence);
         // Every device the monitor can say anything about: named devices
-        // plus devices with periodic models, labeled like `device_label`.
-        let mut device_syms: FxHashMap<Ipv4Addr, Symbol> = models
+        // plus devices with periodic models.
+        let device_syms: FxHashMap<Ipv4Addr, Symbol> = models
             .names
-            .iter()
-            .map(|(&ip, name)| (ip, Symbol::intern(name)))
+            .keys()
+            .chain(&devices)
+            .map(|&ip| (ip, device_sym(&models.names, ip)))
             .collect();
-        for &ip in &devices {
-            device_syms
-                .entry(ip)
-                .or_insert_with(|| Symbol::intern(&ip.to_string()));
-        }
         Self {
             models,
             system,
@@ -385,42 +487,29 @@ impl Monitor {
         monitor
     }
 
-    fn device_label(&self, ip: Ipv4Addr) -> String {
-        self.models
-            .names
-            .get(&ip)
-            .cloned()
-            .unwrap_or_else(|| ip.to_string())
+    /// The label of a device with a periodic model. Every such device is
+    /// keyed in `device_syms` at construction, so the index cannot miss.
+    fn model_device(&self, ip: Ipv4Addr) -> Symbol {
+        self.device_syms[&ip]
     }
 
     /// Process one window of flows covering `[window_start, window_end)`.
     /// Returns the significant deviations, most severe first within each
     /// kind.
     ///
-    /// Steady state allocates only the returned `Vec` growth and the
-    /// emitted report strings (zero on a healthy window after warm-up —
-    /// `tests/monitor_alloc.rs`).
-    pub fn process_window(
-        &mut self,
-        flows: &[FlowRecord],
-        window_start: f64,
-        window_end: f64,
-    ) -> Vec<Deviation> {
-        self.process_window_audited(flows, window_start, window_end, None, &mut NullSink)
-    }
-
-    /// [`Self::process_window`] with the audit surface attached: the same
-    /// deviation stream (bit-identical — the unaudited form is this method
-    /// with no ingest context and a [`NullSink`]), plus one JSONL record
-    /// per deviation carrying its causal evidence, a window header with
-    /// the ingest-gate counters in effect, and per-device health
-    /// transitions when [`Self::enable_health`] attached a registry — all
-    /// appended to `sink` (see DESIGN.md §15 for the record schema).
+    /// The audit surface rides along: one JSONL record per deviation
+    /// carrying its causal evidence, a window header with the ingest-gate
+    /// counters in effect (`ingest`, when the caller has one), and
+    /// per-device health transitions when [`Self::enable_health`] attached
+    /// a registry — all appended to `sink` (see DESIGN.md §15 for the
+    /// record schema). Callers with no ledger pass `None` and a
+    /// [`behaviot_obs::NullSink`].
     ///
     /// Ledger bytes are deterministic: records derive only from
     /// policy-invariant state, in emission order, with floats in
     /// shortest-round-trip form (`tests/ledger_determinism.rs`). A healthy
-    /// window with clean ingest appends nothing and allocates nothing.
+    /// window with clean ingest appends nothing and allocates nothing
+    /// (`tests/monitor_alloc.rs`).
     pub fn process_window_audited(
         &mut self,
         flows: &[FlowRecord],
@@ -430,12 +519,13 @@ impl Monitor {
         sink: &mut dyn LedgerSink,
     ) -> Vec<Deviation> {
         let mut span = behaviot_obs::span!("monitor.window", flows = flows.len());
-        let _ =
-            self.models
-                .infer_events_into(flows, &mut self.scratch.infer, &mut self.scratch.events);
+        // Flow times the inference stage clamped: the caller's ingest
+        // report cannot have counted them.
+        let clamped = self
+            .models
+            .infer_events_into(flows, &mut self.scratch.infer, &mut self.scratch.events)
+            .clamped_events;
         let mut out = Vec::new();
-        self.scratch.evidence.clear();
-        self.scratch.deviant.clear();
         self.scratch.seen.clear();
         if self.health.is_some() {
             for e in &self.scratch.events {
@@ -517,24 +607,15 @@ impl Monitor {
         for (device, (score, ts, dest, gap, period)) in worst_gap {
             out.push(Deviation {
                 ts,
-                kind: DeviationKind::PeriodicTiming,
                 score,
                 threshold: self.cfg.periodic_threshold,
-                subject: self.device_label(device),
-                detail: format!("periodic traffic to {dest} arrived off schedule"),
+                cause: DeviationCause::Gap {
+                    device: self.model_device(device),
+                    dest,
+                    gap,
+                    period,
+                },
             });
-            self.scratch.evidence.push(Evidence::Gap {
-                device,
-                dest,
-                gap,
-                period,
-            });
-            if let Some(&sym) = self.device_syms.get(&device) {
-                self.scratch
-                    .deviant
-                    .entry(sym)
-                    .or_insert(DeviationKind::PeriodicTiming);
-            }
         }
         // A testbed-wide outage silences (nearly) every device at once:
         // collapse it into a single deviation instead of 49.
@@ -543,47 +624,30 @@ impl Monitor {
                 .values()
                 .map(|(s, _, _, _)| *s)
                 .fold(f64::NEG_INFINITY, f64::max);
+            let mut devices: Vec<Symbol> = worst_absent
+                .keys()
+                .map(|&device| self.model_device(device))
+                .collect();
+            devices.sort_unstable();
             out.push(Deviation {
                 ts: window_end,
-                kind: DeviationKind::PeriodicTiming,
                 score: worst,
                 threshold: self.cfg.periodic_threshold,
-                subject: format!("{} devices", worst_absent.len()),
-                detail: "periodic traffic overdue across the testbed (network outage)".to_string(),
+                cause: DeviationCause::Outage { devices },
             });
-            self.scratch.evidence.push(Evidence::Outage {
-                devices: worst_absent.len(),
-            });
-            for device in worst_absent.keys() {
-                if let Some(&sym) = self.device_syms.get(device) {
-                    self.scratch
-                        .deviant
-                        .entry(sym)
-                        .or_insert(DeviationKind::PeriodicTiming);
-                }
-            }
         } else {
             for (device, (score, dest, elapsed, period)) in worst_absent {
                 out.push(Deviation {
                     ts: window_end,
-                    kind: DeviationKind::PeriodicTiming,
                     score,
                     threshold: self.cfg.periodic_threshold,
-                    subject: self.device_label(device),
-                    detail: format!("periodic traffic to {dest} is overdue (possible outage)"),
+                    cause: DeviationCause::Absence {
+                        device: self.model_device(device),
+                        dest,
+                        elapsed,
+                        period,
+                    },
                 });
-                self.scratch.evidence.push(Evidence::Absence {
-                    device,
-                    dest,
-                    elapsed,
-                    period,
-                });
-                if let Some(&sym) = self.device_syms.get(&device) {
-                    self.scratch
-                        .deviant
-                        .entry(sym)
-                        .or_insert(DeviationKind::PeriodicTiming);
-                }
             }
         }
 
@@ -599,23 +663,19 @@ impl Monitor {
                 continue;
             };
             let activity = *activity;
-            let (label, keep) = match self.scratch.label_cache.entry((e.device, activity)) {
+            let (label, device, keep) = match self.scratch.label_cache.entry((e.device, activity)) {
                 std::collections::hash_map::Entry::Occupied(o) => *o.get(),
                 std::collections::hash_map::Entry::Vacant(v) => {
                     // Cold path: first sight of this (device, activity)
                     // pair — render and intern once.
                     let label = Symbol::intern(&user_label(e.device, activity, &self.models.names));
-                    let keep = label
-                        .as_str()
-                        .split(':')
-                        .next()
-                        .and_then(Symbol::lookup)
-                        .is_some_and(|d| self.system.known_device_syms().contains(&d));
-                    *v.insert((label, keep))
+                    let device = device_sym(&self.models.names, e.device);
+                    let keep = self.system.known_device_syms().contains(&device);
+                    *v.insert((label, device, keep))
                 }
             };
             let idx = self.scratch.user_buf.len() as u32;
-            self.scratch.user_buf.push((e.ts, idx, label, keep));
+            self.scratch.user_buf.push((e.ts, idx, label, device, keep));
         }
         // Unstable sort keyed (ts, arrival index) = the stable sort of the
         // String pipeline, without its merge buffer.
@@ -623,12 +683,13 @@ impl Monitor {
             .user_buf
             .sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then_with(|| a.1.cmp(&b.1)));
         self.scratch.trace_labels.clear();
+        self.scratch.trace_devices.clear();
         self.scratch.trace_bounds.clear();
         self.scratch.trace_bounds.push(0);
         let mut last_ts = f64::NEG_INFINITY;
         let mut any_user = false;
         let mut row_start = 0u32;
-        for &(ts, _, label, keep) in &self.scratch.user_buf {
+        for &(ts, _, label, device, keep) in &self.scratch.user_buf {
             if any_user && ts - last_ts > self.cfg.trace_gap {
                 // Close the segment; filtered-empty segments leave no row.
                 let row_end = self.scratch.trace_labels.len() as u32;
@@ -639,6 +700,7 @@ impl Monitor {
             }
             if keep {
                 self.scratch.trace_labels.push(label);
+                self.scratch.trace_devices.push(device);
             }
             last_ts = ts;
             any_user = true;
@@ -655,8 +717,9 @@ impl Monitor {
         // the two-pass String pipeline (which re-scored every trace).
         self.scratch.longterm.reset();
         for i in 0..n_traces {
-            let trace = &self.scratch.trace_labels
-                [self.scratch.trace_bounds[i] as usize..self.scratch.trace_bounds[i + 1] as usize];
+            let row =
+                self.scratch.trace_bounds[i] as usize..self.scratch.trace_bounds[i + 1] as usize;
+            let trace = &self.scratch.trace_labels[row.clone()];
             self.system
                 .log
                 .resolve_syms_into(trace, &mut self.scratch.resolved);
@@ -666,39 +729,16 @@ impl Monitor {
                 .score_into(&self.scratch.resolved, &mut self.scratch.score);
             let score = 1.0 - log10_prob;
             if score > self.st_threshold {
-                let mut subject = String::new();
-                for (j, label) in trace.iter().enumerate() {
-                    if j > 0 {
-                        subject.push_str(" -> ");
-                    }
-                    subject.push_str(label.as_str());
-                }
+                let devices = &self.scratch.trace_devices[row];
                 out.push(Deviation {
                     ts: window_start,
-                    kind: DeviationKind::ShortTerm,
                     score,
                     threshold: self.st_threshold,
-                    subject,
-                    detail: "user-event trace is improbable under the system model".to_string(),
+                    cause: DeviationCause::Trace {
+                        events: trace.iter().copied().zip(devices.iter().copied()).collect(),
+                        log10_prob,
+                    },
                 });
-                self.scratch.evidence.push(Evidence::Trace {
-                    events: trace.len(),
-                    log10_prob,
-                });
-                if self.health.is_some() {
-                    // Every device whose label appears in the improbable
-                    // trace is implicated (the `dev:activity` prefix is the
-                    // registered device label; `lookup` never interns).
-                    for label in trace {
-                        if let Some(dev) = label.as_str().split(':').next().and_then(Symbol::lookup)
-                        {
-                            self.scratch
-                                .deviant
-                                .entry(dev)
-                                .or_insert(DeviationKind::ShortTerm);
-                        }
-                    }
-                }
             }
             self.scratch
                 .longterm
@@ -724,32 +764,18 @@ impl Monitor {
                 }
                 out.push(Deviation {
                     ts: window_start,
-                    kind: DeviationKind::LongTerm,
                     score: r.z,
                     threshold: crit,
-                    subject: format!("{} -> {}", r.from, r.to),
-                    detail: format!(
-                        "transition frequency {:.2} deviates from modeled {:.2} over {} departures",
-                        r.observed_p, r.model_p, r.n
-                    ),
+                    cause: DeviationCause::Transition {
+                        from: r.from,
+                        to: r.to,
+                        from_device: r.from_device,
+                        to_device: r.to_device,
+                        observed_p: r.observed_p,
+                        model_p: r.model_p,
+                        n: r.n,
+                    },
                 });
-                self.scratch.evidence.push(Evidence::Transition {
-                    from: r.from,
-                    to: r.to,
-                    observed_p: r.observed_p,
-                    model_p: r.model_p,
-                    n: r.n,
-                });
-                if self.health.is_some() {
-                    for end in [r.from, r.to] {
-                        if let Some(dev) = end.as_str().split(':').next().and_then(Symbol::lookup) {
-                            self.scratch
-                                .deviant
-                                .entry(dev)
-                                .or_insert(DeviationKind::LongTerm);
-                        }
-                    }
-                }
             }
         }
         self.long_flagged = still_deviating;
@@ -759,11 +785,12 @@ impl Monitor {
         self.windows += 1;
         let drop_frac = ingest.as_ref().map(WindowIngest::drop_frac).unwrap_or(0.0);
         let transitions = match &mut self.health {
-            Some(h) => h.observe_window(&self.scratch.deviant, &self.scratch.seen, drop_frac),
+            Some(h) => h.observe_window(&out, &self.scratch.seen, drop_frac),
             None => &[],
         };
-        debug_assert_eq!(out.len(), self.scratch.evidence.len());
-        let dirty_ingest = ingest.as_ref().is_some_and(|wi| !wi.report.is_clean());
+        let dirty_ingest = ingest
+            .as_ref()
+            .is_some_and(|wi| !wi.report.is_clean() || clamped > 0);
         let mut n_records = 0u64;
         if !out.is_empty() || !transitions.is_empty() || dirty_ingest {
             let line = &mut self.scratch.line;
@@ -789,18 +816,19 @@ impl Monitor {
                 let _ = write!(
                     line,
                     ",\"reordered\":{},\"clamped\":{}}}",
-                    wi.report.reordered, wi.report.clamped_events
+                    wi.report.reordered,
+                    wi.report.clamped_events + clamped
                 );
             }
             line.push('}');
             sink.append(line);
             n_records += 1;
-            for (d, ev) in out.iter().zip(&self.scratch.evidence) {
+            for d in &out {
                 line.clear();
                 let _ = write!(
                     line,
                     "{{\"record\":\"deviation\",\"seq\":{seq},\"kind\":\"{}\",\"ts\":",
-                    d.kind.label()
+                    d.kind().label()
                 );
                 write_json_f64(line, d.ts);
                 line.push_str(",\"score\":");
@@ -808,77 +836,73 @@ impl Monitor {
                 line.push_str(",\"threshold\":");
                 write_json_f64(line, d.threshold);
                 line.push_str(",\"subject\":");
-                write_json_str(line, &d.subject);
+                write_json_str(line, &d.subject());
                 line.push_str(",\"evidence\":");
-                match *ev {
-                    Evidence::Gap {
+                match &d.cause {
+                    DeviationCause::Gap {
                         device,
                         dest,
                         gap,
                         period,
                     } => {
                         line.push_str("{\"cause\":\"gap\",\"device\":");
-                        match self.device_syms.get(&device) {
-                            Some(s) => write_json_str(line, s.as_str()),
-                            None => {
-                                let _ = write!(line, "\"{device}\"");
-                            }
-                        }
+                        write_json_str(line, device.as_str());
                         line.push_str(",\"dest\":");
                         write_json_str(line, dest.as_str());
                         line.push_str(",\"gap\":");
-                        write_json_f64(line, gap);
+                        write_json_f64(line, *gap);
                         line.push_str(",\"period\":");
-                        write_json_f64(line, period);
+                        write_json_f64(line, *period);
                         line.push('}');
                     }
-                    Evidence::Absence {
+                    DeviationCause::Absence {
                         device,
                         dest,
                         elapsed,
                         period,
                     } => {
                         line.push_str("{\"cause\":\"absence\",\"device\":");
-                        match self.device_syms.get(&device) {
-                            Some(s) => write_json_str(line, s.as_str()),
-                            None => {
-                                let _ = write!(line, "\"{device}\"");
-                            }
-                        }
+                        write_json_str(line, device.as_str());
                         line.push_str(",\"dest\":");
                         write_json_str(line, dest.as_str());
                         line.push_str(",\"elapsed\":");
-                        write_json_f64(line, elapsed);
+                        write_json_f64(line, *elapsed);
                         line.push_str(",\"period\":");
-                        write_json_f64(line, period);
+                        write_json_f64(line, *period);
                         line.push('}');
                     }
-                    Evidence::Outage { devices } => {
-                        let _ = write!(line, "{{\"cause\":\"outage\",\"devices\":{devices}}}");
-                    }
-                    Evidence::Trace { events, log10_prob } => {
+                    DeviationCause::Outage { devices } => {
                         let _ = write!(
                             line,
-                            "{{\"cause\":\"trace\",\"events\":{events},\"log10_prob\":"
+                            "{{\"cause\":\"outage\",\"devices\":{}}}",
+                            devices.len()
                         );
-                        write_json_f64(line, log10_prob);
+                    }
+                    DeviationCause::Trace { events, log10_prob } => {
+                        let _ = write!(
+                            line,
+                            "{{\"cause\":\"trace\",\"events\":{},\"log10_prob\":",
+                            events.len()
+                        );
+                        write_json_f64(line, *log10_prob);
                         line.push('}');
                     }
-                    Evidence::Transition {
+                    DeviationCause::Transition {
                         from,
                         to,
                         observed_p,
                         model_p,
                         n,
+                        ..
                     } => {
                         line.push_str("{\"cause\":\"transition\",\"from\":");
                         write_json_str(line, from.as_str());
                         line.push_str(",\"to\":");
                         write_json_str(line, to.as_str());
                         line.push_str(",\"observed_p\":");
-                        write_json_f64(line, observed_p);
+                        write_json_f64(line, *observed_p);
                         line.push_str(",\"model_p\":");
-                        write_json_f64(line, model_p);
+                        write_json_f64(line, *model_p);
                         let _ = write!(line, ",\"n\":{n}}}");
                     }
                 }
@@ -917,6 +941,7 @@ mod tests {
     use crate::events::{TrainConfig, TrainingData};
     use behaviot_flows::N_FEATURES;
     use behaviot_net::Proto;
+    use behaviot_obs::{MemorySink, NullSink};
     use std::collections::HashMap as Map;
 
     const DEV: Ipv4Addr = Ipv4Addr::new(192, 168, 1, 10);
@@ -978,7 +1003,7 @@ mod tests {
         let flows: Vec<FlowRecord> = (0..86)
             .map(|i| flow("hb.cloud.com", i as f64 * 100.0, 120.0))
             .collect();
-        let devs = m.process_window(&flows, 0.0, 8600.0);
+        let devs = m.process_window_audited(&flows, 0.0, 8600.0, None, &mut NullSink);
         assert!(devs.is_empty(), "{devs:#?}");
     }
 
@@ -989,14 +1014,14 @@ mod tests {
         let flows: Vec<FlowRecord> = (0..20)
             .map(|i| flow("hb.cloud.com", i as f64 * 100.0, 120.0))
             .collect();
-        let devs = m.process_window(&flows, 0.0, 10_000.0);
+        let devs = m.process_window_audited(&flows, 0.0, 10_000.0, None, &mut NullSink);
         let periodic: Vec<_> = devs
             .iter()
-            .filter(|d| d.kind == DeviationKind::PeriodicTiming)
+            .filter(|d| d.kind() == DeviationKind::PeriodicTiming)
             .collect();
         assert!(!periodic.is_empty(), "{devs:#?}");
-        assert!(periodic[0].subject == "plug");
-        assert!(periodic[0].detail.contains("overdue"));
+        assert!(periodic[0].subject() == "plug");
+        assert!(periodic[0].detail().contains("overdue"));
     }
 
     #[test]
@@ -1008,11 +1033,11 @@ mod tests {
             .map(|i| flow("hb.cloud.com", i as f64 * 100.0, 120.0))
             .collect();
         flows.push(flow("hb.cloud.com", 900.0 + 800.0, 120.0));
-        let devs = m.process_window(&flows, 0.0, 1800.0);
+        let devs = m.process_window_audited(&flows, 0.0, 1800.0, None, &mut NullSink);
         assert!(
             devs.iter()
-                .any(|d| d.kind == DeviationKind::PeriodicTiming
-                    && d.detail.contains("off schedule")),
+                .any(|d| d.kind() == DeviationKind::PeriodicTiming
+                    && d.detail().contains("off schedule")),
             "{devs:#?}"
         );
     }
@@ -1030,7 +1055,7 @@ mod tests {
         for i in 0..60 {
             flows.push(flow("hb.cloud.com", i as f64 * 100.0, 120.0));
         }
-        let devs = m.process_window(&flows, 0.0, 6000.0);
+        let devs = m.process_window_audited(&flows, 0.0, 6000.0, None, &mut NullSink);
         // The repeated single-event traces match training (plug:on_off),
         // so short-term stays quiet; that is exactly the case the
         // long-term metric exists for — but here frequencies match the
@@ -1044,11 +1069,11 @@ mod tests {
         for i in 0..60 {
             flows2.push(flow("hb.cloud.com", 6000.0 + i as f64 * 100.0, 120.0));
         }
-        let devs2 = m.process_window(&flows2, 6000.0, 14_000.0);
+        let devs2 = m.process_window_audited(&flows2, 6000.0, 14_000.0, None, &mut NullSink);
         assert!(
             devs2
                 .iter()
-                .any(|d| matches!(d.kind, DeviationKind::ShortTerm | DeviationKind::LongTerm)),
+                .any(|d| matches!(d.kind(), DeviationKind::ShortTerm | DeviationKind::LongTerm)),
             "quiet: {devs:#?} then {devs2:#?}"
         );
     }
@@ -1059,15 +1084,39 @@ mod tests {
         let flows: Vec<FlowRecord> = (0..20)
             .map(|i| flow("hb.cloud.com", i as f64 * 100.0, 120.0))
             .collect();
-        let w1 = m.process_window(&flows, 0.0, 2000.0);
+        let w1 = m.process_window_audited(&flows, 0.0, 2000.0, None, &mut NullSink);
         assert!(w1.is_empty(), "{w1:#?}");
         // Next window has no heartbeats at all: the timer from window 1
         // must still trigger the absence check.
-        let w2 = m.process_window(&[], 2000.0, 12_000.0);
+        let w2 = m.process_window_audited(&[], 2000.0, 12_000.0, None, &mut NullSink);
         assert!(
-            w2.iter().any(|d| d.kind == DeviationKind::PeriodicTiming),
+            w2.iter().any(|d| d.kind() == DeviationKind::PeriodicTiming),
             "{w2:#?}"
         );
+    }
+
+    #[test]
+    fn inference_clamps_reach_the_ledger_header() {
+        // A clean caller-side ingest report, but a flow whose start time
+        // the inference stage has to clamp: the window is dirty.
+        let mut m = monitor();
+        let report = IngestReport::new();
+        let ingest = WindowIngest {
+            report: &report,
+            records_total: 1,
+        };
+        let mut sink = MemorySink::new();
+        let flows = [flow("rare.cloud.com", f64::NAN, 300.0)];
+        let devs = m.process_window_audited(&flows, 0.0, 50.0, Some(ingest), &mut sink);
+        assert!(devs.is_empty(), "{devs:#?}");
+        let lines: Vec<&str> = sink.lines().collect();
+        assert_eq!(lines.len(), 1, "{lines:?}");
+        assert!(
+            lines[0].starts_with("{\"record\":\"window\""),
+            "{}",
+            lines[0]
+        );
+        assert!(lines[0].contains("\"clamped\":1}"), "{}", lines[0]);
     }
 
     #[test]

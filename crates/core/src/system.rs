@@ -2,7 +2,8 @@
 
 use crate::event::InferredEvent;
 use behaviot_intern::{FxHashSet, Symbol};
-use behaviot_pfsm::{Pfsm, PfsmConfig, TraceLog};
+use behaviot_pfsm::model::StateId;
+use behaviot_pfsm::{EventId, Pfsm, PfsmConfig, TraceLog};
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
@@ -38,6 +39,8 @@ pub struct SystemModel {
     /// Standard deviation of the short-term metric over training traces.
     pub train_score_std: f64,
     cfg: SystemModelConfig,
+    /// Device of each vocabulary event, indexed by [`EventId`].
+    event_devices: Vec<Symbol>,
     /// Devices covered by the vocabulary, cached at construction.
     known: FxHashSet<Symbol>,
 }
@@ -110,18 +113,22 @@ impl SystemModel {
             .collect();
         let mean = behaviot_dsp::stats::mean(&scores);
         let std = behaviot_dsp::stats::std_dev(&scores);
-        let known = (0..log.vocab.len() as u32)
+        // The one place a `device:activity` label is split: the monitor's
+        // trace filter and transition attribution both read this table.
+        let event_devices: Vec<Symbol> = (0..log.vocab.len() as u32)
             .map(|i| {
-                let name = log.vocab.name(behaviot_pfsm::EventId(i));
+                let name = log.vocab.name(EventId(i));
                 Symbol::intern(name.split(':').next().unwrap_or(name))
             })
             .collect();
+        let known = event_devices.iter().copied().collect();
         SystemModel {
             pfsm,
             log,
             train_score_mean: mean,
             train_score_std: std,
             cfg: cfg.clone(),
+            event_devices,
             known,
         }
     }
@@ -166,6 +173,14 @@ impl SystemModel {
     /// per-call allocation.
     pub fn known_device_syms(&self) -> &FxHashSet<Symbol> {
         &self.known
+    }
+
+    /// The device of the event a PFSM state abstracts (the label prefix
+    /// before `:`), `None` for INITIAL and FINAL.
+    pub(crate) fn state_device(&self, s: StateId) -> Option<Symbol> {
+        self.pfsm
+            .event_of(s)
+            .map(|ev| self.event_devices[ev.0 as usize])
     }
 }
 
@@ -299,5 +314,12 @@ mod tests {
         assert_eq!(cached, ["bulb", "cam"]);
         assert!(m.known_device_syms().contains(&Symbol::intern("cam")));
         assert!(!m.known_device_syms().contains(&Symbol::intern("ghost")));
+        // INITIAL and FINAL abstract no event, so they name no device.
+        for s in 0..m.pfsm.n_states() as u32 {
+            let s = StateId(s);
+            let label = m.pfsm.event_of(s).map(|ev| m.log.vocab.name(ev));
+            let device = label.map(|l| l.split(':').next().unwrap_or(l));
+            assert_eq!(m.state_device(s).map(|d| d.as_str()), device);
+        }
     }
 }

@@ -1,13 +1,14 @@
 //! Pins the steady-state allocation contract of the symbol-native monitor
-//! serving path: after warm-up, [`Monitor::process_window`] performs
-//! **zero** heap allocations on a healthy window — event inference over
-//! reusable scratch, per-group timer upkeep, trace assembly, one Viterbi
-//! per trace, and the long-term transition census included. The only
-//! permitted steady-state allocations are emitted [`Deviation`] report
-//! strings, and a healthy window emits none. The audited path is held to
-//! the same bar: with the health registry enabled and a ledger sink
-//! attached, a healthy window appends no records and allocates nothing —
-//! health bookkeeping runs in pre-sized registry slots and ledger
+//! serving path: after warm-up, [`Monitor::process_window_audited`]
+//! performs **zero** heap allocations on a healthy window — event
+//! inference over reusable scratch, per-group timer upkeep, trace
+//! assembly, one Viterbi per trace, and the long-term transition census
+//! included. Only emitted deviations allocate (their causes and the
+//! returned `Vec`), and a healthy window emits none. The bar holds with
+//! no ledger and no health registry, and with the health registry
+//! enabled and a ledger sink attached: a healthy window appends no
+//! records and allocates nothing — the health fold scans the window's
+//! (empty) deviation slice in pre-sized registry slots, and ledger
 //! rendering only engages when there is something to record.
 //!
 //! A counting global allocator makes the contract checkable (same rig as
@@ -177,7 +178,7 @@ fn process_window_is_allocation_free_after_warmup() {
         // every timer key, and resolve the monitor.* metric handles.
         let (warm, steady) = windows.split_at(3);
         for (flows, s, e) in warm {
-            let devs = m.process_window(flows, *s, *e);
+            let devs = m.process_window_audited(flows, *s, *e, None, &mut NullSink);
             assert!(
                 devs.is_empty(),
                 "warm-up must be healthy ({par:?}): {devs:#?}"
@@ -189,7 +190,7 @@ fn process_window_is_allocation_free_after_warmup() {
         // all.
         for (w, (flows, s, e)) in steady.iter().enumerate() {
             let before = alloc_count();
-            let devs = m.process_window(flows, *s, *e);
+            let devs = m.process_window_audited(flows, *s, *e, None, &mut NullSink);
             let after = alloc_count();
             assert!(devs.is_empty(), "steady state must stay healthy: {devs:#?}");
             assert_eq!(

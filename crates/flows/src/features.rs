@@ -73,6 +73,11 @@ impl FeatureScratch {
 /// Compute the 21 features over the packets of one burst (assumed sorted by
 /// time; empty input yields the zero vector). Allocation-free once
 /// `scratch` has warmed up to the largest burst size.
+///
+/// An inter-packet gap that involves a non-finite timestamp is left out of
+/// the timing features (6–10); a burst with no finite gap gets zero timing
+/// features, like a one-packet burst. The size and count features do not
+/// read timestamps.
 pub fn extract_with(packets: &[PacketView], scratch: &mut FeatureScratch) -> FeatureVector {
     let mut f = [0.0f64; N_FEATURES];
     if packets.is_empty() {
@@ -92,7 +97,12 @@ pub fn extract_with(packets: &[PacketView], scratch: &mut FeatureScratch) -> Fea
 
     let tbp = &mut scratch.tbp;
     tbp.clear();
-    tbp.extend(packets.windows(2).map(|w| w[1].ts - w[0].ts));
+    tbp.extend(
+        packets
+            .windows(2)
+            .map(|w| w[1].ts - w[0].ts)
+            .filter(|gap| gap.is_finite()),
+    );
     if !tbp.is_empty() {
         f[6] = stats::mean(tbp);
         f[7] = stats::variance(tbp);
@@ -252,6 +262,32 @@ mod tests {
         for b in &bursts {
             assert_eq!(extract_with(b, &mut scratch), extract(b));
         }
+    }
+
+    #[test]
+    fn non_finite_timestamps_leave_the_timing_features() {
+        // Gaps 1, NaN, NaN, 2, inf: only 1 and 2 are timing evidence, so
+        // the timing columns equal those of a burst with gaps [1, 2].
+        let pkts = [
+            pkt(0.0, 100, true, false),
+            pkt(1.0, 200, false, false),
+            pkt(f64::NAN, 300, true, false),
+            pkt(3.0, 400, false, false),
+            pkt(5.0, 500, true, false),
+            pkt(f64::INFINITY, 600, false, false),
+        ];
+        let f = extract(&pkts);
+        let finite = extract(&[
+            pkt(0.0, 100, true, false),
+            pkt(1.0, 100, false, false),
+            pkt(3.0, 100, true, false),
+        ]);
+        assert_eq!(f[6..=10], finite[6..=10]);
+        assert!(f.iter().all(|x| x.is_finite()), "{f:?}");
+        assert_eq!(f[0], 350.0); // sizes are unaffected
+                                 // No finite gap at all: zero timing features.
+        let f = extract(&[pkt(f64::NAN, 100, true, false), pkt(1.0, 100, false, false)]);
+        assert_eq!(f[6..=10], [0.0; 5]);
     }
 
     #[test]

@@ -36,8 +36,8 @@ pub trait LedgerSink {
     }
 }
 
-/// Discards every record. The default sink behind
-/// `Monitor::process_window`, keeping the unaudited path zero-cost.
+/// Discards every record: the sink for `Monitor::process_window_audited`
+/// callers that keep no ledger.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct NullSink;
 

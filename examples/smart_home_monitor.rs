@@ -9,6 +9,7 @@
 use behaviot::system::{traces_from_events_syms, SystemModel, SystemModelConfig};
 use behaviot::{Monitor, MonitorConfig};
 use behaviot_flows::{assemble_flows, FlowConfig};
+use behaviot_obs::NullSink;
 use behaviot_sim::{self as sim, Catalog, IncidentScript, TruthLabel, UncontrolledConfig};
 use std::collections::HashMap;
 
@@ -64,16 +65,17 @@ fn main() {
     for day in 0..6 {
         let cap = sim::uncontrolled_day(&catalog, 77, day, &cfg);
         let flows = assemble_flows(&cap.packets, &cap.domains, &fc);
-        let deviations = monitor.process_window(&flows, cap.start, cap.end);
+        let deviations =
+            monitor.process_window_audited(&flows, cap.start, cap.end, None, &mut NullSink);
         println!("\n== day {day}: {} deviation(s)", deviations.len());
         for d in deviations.iter().take(6) {
             println!(
                 "  [{}] {}  score {:.2} (> {:.2})\n        {}",
-                d.kind.label(),
-                d.subject,
+                d.kind().label(),
+                d.subject(),
                 d.score,
                 d.threshold,
-                d.detail
+                d.detail()
             );
         }
         if deviations.len() > 6 {

@@ -111,18 +111,47 @@ assert total > 0 and covered == total, f"incident coverage {covered}/{total}"
 assert "fleet rollup" in report, "fleet-health report lacks the rollup"
 
 # Ledger lint: every line is a JSON record of a known family, carrying a
-# never-decreasing window sequence number.
-kinds, last_seq = {}, -1
+# never-decreasing window sequence number. Each window header counts the
+# deviation and health records of its seq; each deviation's kind is the
+# metric of its evidence cause (a trace's event count is the number of
+# labels in its subject); each health reason is a known tag.
+metric_of = {
+    "gap": "periodic", "absence": "periodic", "outage": "periodic",
+    "trace": "short-term", "transition": "long-term",
+}
+reasons = {
+    "deviation:periodic", "deviation:short-term", "deviation:long-term",
+    "ingest-drops", "stale", "recovered",
+}
+kinds, last_seq, headers, tally = {}, -1, {}, {}
 for line in open(sys.argv[2]):
     rec = json.loads(line)
     kind = rec["record"]
     assert kind in {"window", "deviation", "health"}, f"unknown record {kind}"
     kinds[kind] = kinds.get(kind, 0) + 1
-    assert rec["seq"] >= last_seq, f"seq regressed: {line.strip()}"
-    last_seq = rec["seq"]
+    seq = rec["seq"]
+    assert seq >= last_seq, f"seq regressed: {line.strip()}"
+    last_seq = seq
+    if kind == "window":
+        assert seq not in headers, f"second header for seq {seq}"
+        headers[seq] = (rec["deviations"], rec["transitions"])
+        continue
+    assert seq in headers, f"record before its window header: {line.strip()}"
+    counts = tally.setdefault(seq, [0, 0])
     if kind == "deviation":
-        cause = rec["evidence"]["cause"]
-        assert cause in {"gap", "absence", "outage", "trace", "transition"}, cause
+        counts[0] += 1
+        evidence = rec["evidence"]
+        cause = evidence["cause"]
+        assert cause in metric_of, cause
+        assert rec["kind"] == metric_of[cause], f"{cause} evidence on a {rec['kind']} deviation"
+        if cause == "trace":
+            labels = len(rec["subject"].split(" -> "))
+            assert evidence["events"] == labels, f"trace of {labels} labels: {line.strip()}"
+    else:
+        counts[1] += 1
+        assert rec["reason"] in reasons, f"unknown health reason: {line.strip()}"
+for seq, counted in headers.items():
+    assert counted == tuple(tally.get(seq, (0, 0))), f"window {seq} header {counted} vs records {tally.get(seq)}"
 for kind in ("window", "deviation", "health"):
     assert kinds.get(kind), f"ledger has no {kind} records ({kinds})"
 print(f"health smoke: covered {covered}/{total}, ledger {kinds} ok")

@@ -4,6 +4,7 @@
 use behaviot::system::{traces_from_events_syms, SystemModel, SystemModelConfig};
 use behaviot::{BehavIoT, DeviationKind, Monitor, MonitorConfig, TrainConfig, TrainingData};
 use behaviot_flows::{assemble_flows, FlowConfig};
+use behaviot_obs::NullSink;
 use behaviot_sim::{self as sim, Catalog, TruthLabel, UncontrolledConfig};
 use std::collections::HashMap;
 use std::sync::OnceLock;
@@ -54,7 +55,7 @@ fn run_day(
 ) -> Vec<behaviot::Deviation> {
     let cap = sim::uncontrolled_day(catalog, 34, day, cfg);
     let flows = assemble_flows(&cap.packets, &cap.domains, &FlowConfig::default());
-    monitor.process_window(&flows, cap.start, cap.end)
+    monitor.process_window_audited(&flows, cap.start, cap.end, None, &mut NullSink)
 }
 
 #[test]
@@ -71,8 +72,8 @@ fn misactivation_burst_detected() {
     let devs = run_day(&mut monitor, &catalog, 1, &cfg);
     assert!(
         devs.iter().any(
-            |d| matches!(d.kind, DeviationKind::ShortTerm | DeviationKind::LongTerm)
-                && d.subject.contains("Echo Spot")
+            |d| matches!(d.kind(), DeviationKind::ShortTerm | DeviationKind::LongTerm)
+                && d.subject().contains("Echo Spot")
         ),
         "misactivation missed: {devs:#?}"
     );
@@ -88,12 +89,14 @@ fn network_outage_detected_as_periodic_deviation() {
     let devs = run_day(&mut monitor, &catalog, 1, &cfg);
     let periodic: Vec<_> = devs
         .iter()
-        .filter(|d| d.kind == DeviationKind::PeriodicTiming)
+        .filter(|d| d.kind() == DeviationKind::PeriodicTiming)
         .collect();
     assert!(!periodic.is_empty(), "{devs:#?}");
     // A full-day testbed outage collapses into one merged report.
     assert!(
-        periodic.iter().any(|d| d.detail.contains("network outage")),
+        periodic
+            .iter()
+            .any(|d| d.detail().contains("network outage")),
         "{periodic:#?}"
     );
 }
@@ -109,7 +112,7 @@ fn camera_relocation_detected_by_long_term_metric() {
     let devs = run_day(&mut monitor, &catalog, 1, &cfg);
     assert!(
         devs.iter()
-            .any(|d| d.kind == DeviationKind::LongTerm && d.subject.contains("Wyze")),
+            .any(|d| d.kind() == DeviationKind::LongTerm && d.subject().contains("Wyze")),
         "relocation missed: {devs:#?}"
     );
 }
@@ -127,7 +130,7 @@ fn device_malfunction_detected() {
     assert!(
         d1.iter()
             .chain(d2.iter())
-            .any(|d| d.kind == DeviationKind::PeriodicTiming && d.subject.contains("SwitchBot")),
+            .any(|d| d.kind() == DeviationKind::PeriodicTiming && d.subject().contains("SwitchBot")),
         "malfunction missed: {d1:#?} {d2:#?}"
     );
 }

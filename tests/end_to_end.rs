@@ -6,6 +6,7 @@ use behaviot::event::EventKind;
 use behaviot::system::{traces_from_events_syms, SystemModel, SystemModelConfig};
 use behaviot::{BehavIoT, Monitor, MonitorConfig, TrainConfig, TrainingData};
 use behaviot_flows::{assemble_flows, FlowConfig};
+use behaviot_obs::NullSink;
 use behaviot_sim::{self as sim, Catalog, TruthLabel};
 use std::collections::HashMap;
 
@@ -157,13 +158,14 @@ fn routine_to_system_model_and_monitor() {
     let cfg = sim::UncontrolledConfig::default();
     let day = sim::uncontrolled_day(&w.catalog, 14, 0, &cfg);
     let day_flows = assemble_flows(&day.packets, &day.domains, &fc);
-    let quiet = monitor.process_window(&day_flows, day.start, day.end);
+    let quiet = monitor.process_window_audited(&day_flows, day.start, day.end, None, &mut NullSink);
     assert!(quiet.len() < 15, "healthy day too noisy: {quiet:#?}");
 
-    let dead = monitor.process_window(&[], day.end, day.end + 86_400.0);
+    let dead =
+        monitor.process_window_audited(&[], day.end, day.end + 86_400.0, None, &mut NullSink);
     assert!(
         dead.iter()
-            .any(|d| d.kind == behaviot::DeviationKind::PeriodicTiming),
+            .any(|d| d.kind() == behaviot::DeviationKind::PeriodicTiming),
         "outage not detected"
     );
 }

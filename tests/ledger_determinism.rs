@@ -142,7 +142,12 @@ fn run_audited(
                 .map(|d| {
                     format!(
                         "{:?}|{:?}|{:?}|{:?}|{}|{}",
-                        d.ts, d.kind, d.score, d.threshold, d.subject, d.detail
+                        d.ts,
+                        d.kind(),
+                        d.score,
+                        d.threshold,
+                        d.subject(),
+                        d.detail()
                     )
                 })
                 .collect::<Vec<_>>()

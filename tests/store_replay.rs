@@ -24,6 +24,7 @@ use behaviot::{TrainConfig, TrainingData};
 use behaviot_flows::{FlowRecord, N_FEATURES};
 use behaviot_intern::{FxHashSet, Symbol};
 use behaviot_net::Proto;
+use behaviot_obs::NullSink;
 use behaviot_par::Parallelism;
 use behaviot_store::{ModelStore, SnapshotSpec, StoreError};
 use std::collections::HashMap;
@@ -134,7 +135,12 @@ fn render(devs: &[Deviation]) -> String {
         .map(|d| {
             format!(
                 "{:?}|{:?}|{:?}|{:?}|{}|{}",
-                d.ts, d.kind, d.score, d.threshold, d.subject, d.detail
+                d.ts,
+                d.kind(),
+                d.score,
+                d.threshold,
+                d.subject(),
+                d.detail()
             )
         })
         .collect::<Vec<_>>()
@@ -145,7 +151,13 @@ fn run_windows(monitor: &mut Monitor, range: std::ops::Range<usize>) -> Vec<Stri
     range
         .map(|w| {
             let t0 = w as f64 * WINDOW;
-            render(&monitor.process_window(&window_flows(w), t0, t0 + WINDOW))
+            render(&monitor.process_window_audited(
+                &window_flows(w),
+                t0,
+                t0 + WINDOW,
+                None,
+                &mut NullSink,
+            ))
         })
         .collect()
 }

@@ -10,18 +10,33 @@
 //! This is the one copy. `tests/monitor_parity.rs` includes it with
 //! `#[path]` and checks the live [`behaviot::Monitor`] against it byte for
 //! byte, so parity is judged against the real predecessor rather than a
-//! reimplementation.
+//! reimplementation. The predecessor's six-field `Deviation` record is
+//! kept here too; the live stream is projected onto it for comparison.
 
 use behaviot::deviation::{long_term_threshold, periodic_metric_multi};
 use behaviot::event::InferredEvent;
 use behaviot::periodic::GroupKey;
-use behaviot::{BehavIoT, Deviation, DeviationKind, MonitorConfig, SystemModel};
+use behaviot::{BehavIoT, DeviationKind, MonitorConfig, SystemModel};
 use behaviot_dsp::stats;
 use behaviot_flows::FlowRecord;
 use behaviot_intern::{FxHashMap, FxHashSet, Symbol};
 use behaviot_pfsm::model::{StateId, FINAL, INITIAL};
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
+
+/// The predecessor's `behaviot::Deviation`, verbatim: the report strings
+/// were its fields. Parity reads them through the derived `Debug`, which
+/// dead-code analysis does not count.
+#[allow(dead_code)]
+#[derive(Debug, Clone)]
+pub struct Deviation {
+    pub ts: f64,
+    pub kind: DeviationKind,
+    pub score: f64,
+    pub threshold: f64,
+    pub subject: String,
+    pub detail: String,
+}
 
 /// The removed `behaviot::system::traces_from_events`, verbatim: one
 /// `String` label per user event, split into traces at `trace_gap`.
