@@ -10,11 +10,14 @@
 //!              [--trace spans.json] [--metrics-out metrics.jsonl]
 //! ```
 //!
-//! With `--store DIR`: if `DIR` holds a snapshot, the monitor (timers,
-//! dedup flags, health registry, ledger sequence) is restored from it and
-//! the replay continues at the day after the last processed window;
+//! With `--store DIR`: if `DIR` holds a snapshot (a `MANIFEST`), the monitor
+//! (timers, dedup flags, health registry, ledger sequence) is restored from
+//! it and the replay continues at the day after the last processed window;
 //! otherwise models are trained fresh. Either way the final state is saved
 //! back to `DIR`, so repeated runs extend one continuous health timeline.
+//! A snapshot that fails to load, or carries no monitor, ends the run with
+//! its error and exit status 1 before any work, and `DIR` is left as it is:
+//! training over it would overwrite the snapshot.
 //!
 //! The report ends with a coverage check of the incident script's ledger
 //! ground truth: every scripted §6.2 case should have left a matching
@@ -44,14 +47,10 @@ fn main() {
     }
     let store_dir = flag_from_args("--store");
 
-    // Restore the monitor from the store when possible, train it otherwise.
+    // Restore the monitor from the store when it holds a snapshot, train it
+    // otherwise.
     let catalog = sim::Catalog::standard();
-    let restored = store_dir.as_deref().and_then(|dir| {
-        let store = ModelStore::open(dir).ok()?;
-        let monitor = store.load().ok()?.into_monitor()?;
-        eprintln!("[fleet-health] restored monitor from {dir}");
-        Some(monitor)
-    });
+    let restored = store_dir.as_deref().and_then(restore_monitor);
     let mut monitor = restored.unwrap_or_else(|| {
         let p = Prepared::build_with(scale, par);
         let routine_flows: Vec<_> = p.routine.iter().map(|l| l.flow.clone()).collect();
@@ -271,4 +270,24 @@ fn main() {
         eprintln!("[fleet-health] snapshot saved to {dir}");
     }
     obs.finish();
+}
+
+/// The monitor saved in `dir`, or `None` when `dir` holds no snapshot yet.
+/// Exits 1, writing nothing, when the snapshot does not load or carries no
+/// monitor.
+fn restore_monitor(dir: &str) -> Option<Monitor> {
+    let refuse = |why: &dyn std::fmt::Display| -> ! {
+        eprintln!("[fleet-health] cannot restore the monitor from {dir}: {why}");
+        std::process::exit(1);
+    };
+    let store = ModelStore::open(dir).unwrap_or_else(|e| refuse(&e));
+    if !store.has_snapshot() {
+        return None;
+    }
+    let snapshot = store.load().unwrap_or_else(|e| refuse(&e));
+    let monitor = snapshot
+        .into_monitor()
+        .unwrap_or_else(|| refuse(&"the snapshot carries no monitor"));
+    eprintln!("[fleet-health] restored monitor from {dir}");
+    Some(monitor)
 }

@@ -20,13 +20,15 @@
 //!   trained clusters (a point joins a cluster when it lies within `eps` of
 //!   one of that cluster's core points), which is exactly how the pipeline
 //!   classifies future unlabeled flows as periodic events. Core points are
-//!   stored label-partitioned in one flat matrix; distance accumulation
-//!   early-exits against the best bound, and the boolean membership check
-//!   ([`DbscanModel::matches`]) returns at the first in-eps core point.
+//!   stored label-partitioned in one flat matrix, each distinct value once
+//!   per cluster; distance accumulation early-exits against the best bound,
+//!   and the boolean membership check ([`DbscanModel::matches`]) returns at
+//!   the first in-eps core point.
 //!
-//! Every rewrite here is pinned byte-identical to the pre-flat
-//! implementation (vendored in `tests/baseline/mod.rs`, checked by
-//! `tests/parity.rs`): neighbor *sets* are unchanged by the
+//! Every rewrite here is pinned to the pre-flat implementation (vendored in
+//! `tests/baseline/mod.rs`, checked by `tests/parity.rs`): labels and
+//! verdicts are byte-identical, and the stored cores are the baseline's
+//! distinct `(label, row)` set. Neighbor *sets* are unchanged by the
 //! grid (bin width = eps, so any pair within eps differs by at most one cell
 //! per binned dimension), neighbor lists are sorted ascending to reproduce
 //! the old full-scan enumeration order, and tie-breaks in
@@ -284,6 +286,13 @@ fn within_eps_sq(a: &[f64], b: &[f64], eps_sq: f64) -> bool {
     true
 }
 
+/// Are two rows bitwise equal? `-0.0` and `0.0` differ here, and so do NaN
+/// payloads, unlike under `==`.
+#[inline]
+fn bits_eq(a: &[f64], b: &[f64]) -> bool {
+    a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
+}
+
 // ---------------------------------------------------------------------------
 // Uniform grid index
 // ---------------------------------------------------------------------------
@@ -424,6 +433,14 @@ impl Dbscan {
     /// byte-identical to the pre-index implementation: neighbor lists are
     /// sorted ascending (the old full-scan order), and BFS expansion,
     /// border-point absorption, and cluster numbering are order-preserved.
+    ///
+    /// The model keeps one row per distinct core value in each cluster: the
+    /// first copy in training order, with its index. Later bitwise copies
+    /// (`f64::to_bits`, so `-0.0` and `0.0` stay distinct) are dropped,
+    /// which changes no [`DbscanModel::predict`] or
+    /// [`DbscanModel::matches`] verdict: a copy lies at the same distance
+    /// from every probe and loses the training-order tie-break to the
+    /// first one.
     pub fn fit_matrix(&self, m: &FeatureMatrix) -> (Vec<i32>, DbscanModel) {
         let n = m.n_rows();
         let dim = m.dim();
@@ -488,15 +505,29 @@ impl Dbscan {
             cluster += 1;
         }
 
-        // Pass 3: core points into a label-partitioned flat matrix (stable
-        // within each label, so original-index order is preserved per
-        // partition). Degrees come from the CSR offsets — no recomputation.
+        // Pass 3: one row per distinct core value into a label-partitioned
+        // flat matrix (stable within each label, so original-index order is
+        // preserved per partition). Degrees come from the CSR offsets — no
+        // recomputation. A bitwise copy of row i lies at distance 0, so
+        // every earlier copy is among i's ascending neighbors below i; such
+        // a copy has i's neighborhood, so it is a core point of i's cluster
+        // and already stands for i (same distance to any probe, lower
+        // training index). Each point is decided once, here.
         let n_clusters = cluster as usize;
         let mut counts = vec![0usize; n_clusters];
-        let is_core = |i: usize| labels[i] != NOISE && offsets[i + 1] - offsets[i] >= self.min_pts;
+        let mut kept: Vec<u32> = Vec::new();
         for i in 0..n {
-            if is_core(i) {
+            if labels[i] == NOISE || offsets[i + 1] - offsets[i] < self.min_pts {
+                continue;
+            }
+            let row = m.row(i);
+            let copy_before = nbrs(i)
+                .iter()
+                .take_while(|&&j| (j as usize) < i)
+                .any(|&j| bits_eq(m.row(j as usize), row));
+            if !copy_before {
                 counts[labels[i] as usize] += 1;
+                kept.push(i as u32);
             }
         }
         let mut label_offsets = vec![0usize; n_clusters + 1];
@@ -507,13 +538,12 @@ impl Dbscan {
         let mut cores = vec![0.0; total_cores * dim];
         let mut core_orig = vec![0u32; total_cores];
         let mut cursor = label_offsets.clone();
-        for i in 0..n {
-            if is_core(i) {
-                let slot = cursor[labels[i] as usize];
-                cursor[labels[i] as usize] += 1;
-                cores[slot * dim..(slot + 1) * dim].copy_from_slice(m.row(i));
-                core_orig[slot] = i as u32;
-            }
+        for &i in &kept {
+            let label = labels[i as usize] as usize;
+            let slot = cursor[label];
+            cursor[label] += 1;
+            cores[slot * dim..(slot + 1) * dim].copy_from_slice(m.row(i as usize));
+            core_orig[slot] = i;
         }
         (
             labels,
@@ -545,6 +575,12 @@ impl Dbscan {
 /// original training order); `core_orig` carries each row's index in the
 /// training set so distance ties resolve exactly as the historical
 /// first-match-wins full scan did.
+///
+/// A model from [`Dbscan::fit_matrix`] holds each distinct core value once
+/// per cluster (its first training copy), so the per-flow scans touch
+/// distinct points only. A model rebuilt by [`Self::from_parts`] may still
+/// hold copies — snapshots written before training dropped them do — and
+/// predicts exactly as its deduplicated form.
 #[derive(Debug, Clone)]
 pub struct DbscanModel {
     eps: f64,
@@ -560,7 +596,10 @@ impl DbscanModel {
         self.label_offsets.len() - 1
     }
 
-    /// Total number of stored core points.
+    /// Number of stored core rows. After [`Dbscan::fit_matrix`] this is
+    /// the number of distinct core values per cluster, summed over
+    /// clusters, not the number of training points that are core points:
+    /// bitwise copies of a core point are stored once.
     pub fn n_core_points(&self) -> usize {
         self.core_orig.len()
     }
@@ -799,7 +838,9 @@ mod tests {
         assert_eq!(model.n_clusters(), 1);
         assert!(labels[..10].iter().all(|&l| l == 0));
         assert_eq!(labels[10], NOISE);
-        assert_eq!(model.n_core_points(), 10);
+        // Ten core copies, one stored row: the first, with its index.
+        assert_eq!(model.n_core_points(), 1);
+        assert_eq!(model.core_orig(), &[0]);
     }
 
     #[test]

@@ -150,6 +150,15 @@ impl DbscanModel {
         self.core_points.len()
     }
 
+    /// Every stored core point with its label, in training order (an
+    /// accessor for the parity checks; it changes no behavior).
+    pub fn cores(&self) -> impl Iterator<Item = (i32, &[f64])> {
+        self.core_labels
+            .iter()
+            .copied()
+            .zip(self.core_points.iter().map(Vec::as_slice))
+    }
+
     pub fn predict(&self, point: &[f64]) -> Option<i32> {
         let eps_sq = self.eps * self.eps;
         let mut best: Option<(f64, i32)> = None;

@@ -10,7 +10,11 @@
 //!
 //! * standardizer parameters transform points to bitwise-equal values,
 //! * DBSCAN labels are exactly equal (same cluster ids, same noise),
-//! * cluster count and core-point count are equal,
+//! * cluster counts are equal, and the stored cores are the baseline's
+//!   cores with bitwise copies dropped: the set of distinct
+//!   `(label, row bits)` pairs is the baseline's, no label stores a row
+//!   twice, and each stored row carries the lowest training index among its
+//!   bitwise copies (the baseline keeps every copy),
 //! * `predict` returns the same label (including distance ties, which the
 //!   lattice snapping makes common) and `matches` agrees with
 //!   `predict(..).is_some()` for every training point and for off-training
@@ -23,6 +27,7 @@
 use behaviot_cluster::{Dbscan, FeatureMatrix, Standardizer, NOISE};
 use behaviot_par::{par_map, Parallelism};
 use proptest::prelude::*;
+use std::collections::BTreeSet;
 
 mod baseline;
 
@@ -72,27 +77,17 @@ fn probes(points: &[Vec<f64>], dim: usize) -> Vec<Vec<f64>> {
 /// Run the full second stage (standardize + DBSCAN fit + predict) through
 /// both implementations and assert byte-identical behavior.
 fn assert_parity(points: &[Vec<f64>], eps: f64, min_pts: usize) {
-    let dim = points.first().map_or(0, |p| p.len());
-
-    // Baseline pipeline.
-    let (old_std_points, old_labels, old_model) = match baseline::Standardizer::fit(points) {
-        Some(s) => {
-            let t = s.transform_all(points);
-            let (labels, model) = baseline::Dbscan { eps, min_pts }.fit(&t);
-            (t, labels, model)
-        }
-        None => {
-            let (labels, model) = baseline::Dbscan { eps, min_pts }.fit(&[]);
-            (Vec::new(), labels, model)
-        }
+    // Baseline standardization.
+    let old_std_points = match baseline::Standardizer::fit(points) {
+        Some(s) => s.transform_all(points),
+        None => Vec::new(),
     };
 
-    // Flat-matrix pipeline.
+    // Flat-matrix standardization.
     let mut matrix = FeatureMatrix::from_rows(points);
     if let Some(s) = Standardizer::fit_matrix(&matrix) {
         s.transform_matrix(&mut matrix);
     }
-    let (new_labels, new_model) = Dbscan { eps, min_pts }.fit_matrix(&matrix);
 
     // Standardized values are bitwise equal.
     for (i, old_row) in old_std_points.iter().enumerate() {
@@ -105,20 +100,81 @@ fn assert_parity(points: &[Vec<f64>], eps: f64, min_pts: usize) {
         }
     }
 
+    assert_fit_parity(&old_std_points, &matrix, eps, min_pts, &[]);
+}
+
+fn bits(row: &[f64]) -> Vec<u64> {
+    row.iter().map(|x| x.to_bits()).collect()
+}
+
+/// Fit DBSCAN through both implementations — the baseline on `old_points`,
+/// the flat core on `new_points`, the same values — and assert equal labels,
+/// equal distinct cores and equal verdicts on every probe (the training
+/// points, the default lattice probes and `extra_probes`).
+fn assert_fit_parity(
+    old_points: &[Vec<f64>],
+    new_points: &FeatureMatrix,
+    eps: f64,
+    min_pts: usize,
+    extra_probes: &[Vec<f64>],
+) {
+    let dim = new_points.dim();
+    let (old_labels, old_model) = baseline::Dbscan { eps, min_pts }.fit(old_points);
+    let (new_labels, new_model) = Dbscan { eps, min_pts }.fit_matrix(new_points);
+
     // Labels byte-identical, structure equal.
     assert_eq!(
         new_labels, old_labels,
         "labels diverged (eps={eps}, min_pts={min_pts})"
     );
     assert_eq!(new_model.n_clusters(), old_model.n_clusters());
-    assert_eq!(new_model.n_core_points(), old_model.n_core_points());
     assert_eq!(
         new_labels.iter().filter(|&&l| l == NOISE).count(),
         old_labels.iter().filter(|&&l| l == baseline::NOISE).count()
     );
 
+    // Stored cores: the baseline's core set with bitwise copies dropped.
+    // Each stored row is the first training copy of its value, and no
+    // label holds a value twice.
+    let offsets = new_model.label_offsets();
+    let mut new_cores: BTreeSet<(i32, Vec<u64>)> = BTreeSet::new();
+    for label in 0..new_model.n_clusters() {
+        for r in offsets[label]..offsets[label + 1] {
+            let row = bits(&new_model.cores()[r * dim..(r + 1) * dim]);
+            let orig = new_model.core_orig()[r] as usize;
+            let first = (0..new_points.n_rows())
+                .find(|&i| bits(new_points.row(i)) == row)
+                .expect("a stored core row is a training row");
+            assert_eq!(
+                orig, first,
+                "label {label} keeps copy {orig}, not the first copy {first}"
+            );
+            assert_eq!(
+                new_labels[orig], label as i32,
+                "core {orig} filed under label {label}"
+            );
+            assert!(
+                new_cores.insert((label as i32, row)),
+                "label {label} stores the value of point {orig} twice"
+            );
+        }
+    }
+    let old_cores: BTreeSet<(i32, Vec<u64>)> =
+        old_model.cores().map(|(l, row)| (l, bits(row))).collect();
+    assert_eq!(
+        new_cores, old_cores,
+        "distinct cores diverged (eps={eps}, min_pts={min_pts})"
+    );
+    // Every core copy the baseline keeps is a training point whose value
+    // the model stores under its label.
+    let copies = (0..new_points.n_rows())
+        .filter(|&i| new_cores.contains(&(new_labels[i], bits(new_points.row(i)))))
+        .count();
+    assert_eq!(copies, old_model.n_core_points());
+
     // Predict parity on training points and probes (standardized space).
-    let probe_set = probes(&old_std_points, dim);
+    let mut probe_set = probes(old_points, dim);
+    probe_set.extend_from_slice(extra_probes);
     for (k, p) in probe_set.iter().enumerate() {
         let old = old_model.predict(p);
         let new = new_model.predict(p);
@@ -129,6 +185,47 @@ fn assert_parity(points: &[Vec<f64>], eps: f64, min_pts: usize) {
             "matches diverged on probe {k}"
         );
     }
+}
+
+/// Duplicate-heavy point set: `copies.len()` distinct rows, row `k` with
+/// first coordinate `k` and lattice values elsewhere, repeated `copies[k]`
+/// times and shuffled by `seed`. With `signed_zero`, one more value equals
+/// row 0 except for `-0.0` in place of its leading `0.0`: a bitwise-distinct
+/// row at distance 0. Returns the points and the distinct rows.
+fn copies_shuffled(
+    copies: &[usize],
+    dim: usize,
+    signed_zero: bool,
+    seed: u64,
+) -> (Vec<Vec<f64>>, Vec<Vec<f64>>) {
+    let mut distinct = lattice_points(copies.len(), dim, seed);
+    for (k, row) in distinct.iter_mut().enumerate() {
+        row[0] = k as f64;
+    }
+    let mut counts = copies.to_vec();
+    if signed_zero {
+        let mut twin = distinct[0].clone();
+        twin[0] = -0.0;
+        distinct.push(twin);
+        counts.push(copies[0]);
+    }
+    let mut points: Vec<Vec<f64>> = distinct
+        .iter()
+        .zip(&counts)
+        .flat_map(|(row, &c)| std::iter::repeat_n(row.clone(), c))
+        .collect();
+    let mut state = seed | 1;
+    for i in (1..points.len()).rev() {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        points.swap(i, (state % (i as u64 + 1)) as usize);
+    }
+    (points, distinct)
+}
+
+fn dist_sq(a: &[f64], b: &[f64]) -> f64 {
+    a.iter().zip(b).map(|(x, y)| (x - y) * (x - y)).sum()
 }
 
 proptest! {
@@ -180,6 +277,60 @@ proptest! {
         assert_parity(&points, 0.25, min_pts);
         assert_parity(&points, 0.0, min_pts); // eps 0: duplicates only
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Few values, many copies: 2–5 distinct rows with up to 200 shuffled
+    /// copies each — the shape of a trained traffic group. Fitted unscaled
+    /// (lattice coordinates keep every distance exact) at three radii:
+    /// eps 0 (only copies are neighbors), a radius that keeps the closest
+    /// values apart yet reaches their midpoint (probed, so a predict tie
+    /// across two clusters is exact), and one that merges every value into
+    /// one cluster.
+    #[test]
+    fn few_values_many_copies_match_baseline(
+        copies in proptest::collection::vec(1usize..201, 2..6),
+        dim in 1usize..5,
+        min_pts in 1usize..40,
+        signed_zero in any::<bool>(),
+        seed in 1u64..1_000_000,
+    ) {
+        let (points, distinct) = copies_shuffled(&copies, dim, signed_zero, seed);
+        let matrix = FeatureMatrix::from_rows(&points);
+        let mut midpoints: Vec<Vec<f64>> = Vec::new();
+        let (mut closest, mut farthest) = (f64::INFINITY, 0.0f64);
+        for (a, p) in distinct.iter().enumerate() {
+            for q in &distinct[a + 1..] {
+                midpoints.push(p.iter().zip(q).map(|(x, y)| (x + y) / 2.0).collect());
+                let d = dist_sq(p, q);
+                if d > 0.0 {
+                    closest = closest.min(d);
+                }
+                farthest = farthest.max(d);
+            }
+        }
+        for eps in [0.0, 0.75 * closest.sqrt(), farthest.sqrt() + 1.0] {
+            assert_fit_parity(&points, &matrix, eps, min_pts, &midpoints);
+        }
+    }
+}
+
+#[test]
+fn cross_cluster_tie_matches_baseline() {
+    // Two values one apart, 60 shuffled copies each, eps 0.75: two
+    // clusters of one stored row each, tied exactly at the midpoint.
+    let (points, _) = copies_shuffled(&[60, 60], 1, false, 99);
+    let matrix = FeatureMatrix::from_rows(&points);
+    let (_, model) = Dbscan {
+        eps: 0.75,
+        min_pts: 4,
+    }
+    .fit_matrix(&matrix);
+    assert_eq!((model.n_clusters(), model.n_core_points()), (2, 2));
+    assert!(model.predict(&[0.5]).is_some());
+    assert_fit_parity(&points, &matrix, 0.75, 4, &[vec![0.5]]);
 }
 
 #[test]

@@ -89,3 +89,7 @@ pub use periodic::{
 };
 pub use system::{SystemModel, SystemModelConfig};
 pub use user_action::{UserActionModels, UserActionTrainConfig};
+
+/// The width of every feature vector the models score: periodic clusters
+/// and user-action forests of any other width cannot serve a flow.
+pub use behaviot_flows::N_FEATURES;

@@ -10,7 +10,7 @@ use crate::format::{escape, fmt_f64, parse_f64, unescape};
 use crate::StoreError;
 use behaviot::{
     HealthConfig, HealthExport, HealthState, MonitorConfig, MonitorState, PeriodicModel,
-    PeriodicTrainConfig, SystemModel, SystemModelConfig,
+    PeriodicTrainConfig, SystemModel, SystemModelConfig, N_FEATURES,
 };
 use behaviot_cluster::{DbscanModel, Standardizer};
 use behaviot_forest::{DecisionTree, NodeSpec, RandomForest};
@@ -219,6 +219,9 @@ impl PendingPeriodic {
         let periods = self.periods.ok_or_else(|| err("missing periods line"))?;
         let (means, stds) = self.std.ok_or_else(|| err("missing std line"))?;
         let (eps, dim) = self.cluster.ok_or_else(|| err("missing cluster line"))?;
+        if dim != N_FEATURES {
+            return Err(err("cluster dimension is not the flow feature count"));
+        }
         let offsets = self.offsets.ok_or_else(|| err("missing offsets line"))?;
         let mut cores = Vec::with_capacity(self.cores.len() * dim);
         let mut core_orig = Vec::with_capacity(self.cores.len());
@@ -494,6 +497,13 @@ pub(crate) fn parse_user_device(
                     return Err(bad(artifact, ln, "bad tree line"));
                 }
                 let n_features = pu(artifact, ln, fields[1], "feature count")?;
+                if n_features != N_FEATURES {
+                    return Err(bad(
+                        artifact,
+                        ln,
+                        "tree feature count is not the flow feature count",
+                    ));
+                }
                 let nodes: Result<Vec<NodeSpec>, StoreError> = fields[2..]
                     .iter()
                     .map(|s| parse_node(artifact, ln, s))

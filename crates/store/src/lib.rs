@@ -22,7 +22,9 @@
 //! * **Corruption detection, never panics** — any byte flip, insertion, or
 //!   truncation in any artifact surfaces as a typed [`StoreError`] whose
 //!   [`StoreError::artifact`] pinpoints the failing artifact (manifests
-//!   store length + hash; parses are fully validated).
+//!   store length + hash; parses are fully validated, down to each model's
+//!   feature width, which must be [`behaviot::N_FEATURES`] for the model to
+//!   serve a flow).
 //! * **O(changed-devices) checkpoints** — [`ModelStore::checkpoint`]
 //!   re-renders only the per-device artifacts whose device is in the
 //!   caller's changed set, reusing the previous manifest entries (and
@@ -315,6 +317,13 @@ impl ModelStore {
     /// The snapshot directory.
     pub fn root(&self) -> &Path {
         &self.root
+    }
+
+    /// Does the directory hold a committed snapshot (a `MANIFEST`)? One
+    /// that does either loads or fails [`Self::load`] with a
+    /// [`StoreError`]; one that does not has never been saved to.
+    pub fn has_snapshot(&self) -> bool {
+        self.root.join(MANIFEST_FILE).exists()
     }
 
     /// Write a full snapshot (every artifact re-rendered).

@@ -10,6 +10,7 @@
 use behaviot::{
     BehavIoT, HealthConfig, HealthExport, HealthState, MonitorConfig, MonitorState, PeriodicModel,
     PeriodicModelSet, PeriodicTrainConfig, SystemModel, SystemModelConfig, UserActionModels,
+    N_FEATURES,
 };
 use behaviot_cluster::{DbscanModel, Standardizer};
 use behaviot_forest::{DecisionTree, NodeSpec, RandomForest};
@@ -39,9 +40,10 @@ fn temp_dir() -> PathBuf {
 /// Small two-device fixture built straight through the `from_parts` APIs
 /// (no training) so each proptest case is cheap. Every artifact kind is
 /// present: periodic + user device files, all three global configs, the
-/// system model, monitor state, and the health checkpoint.
+/// system model, monitor state, and the health checkpoint. Models are
+/// `N_FEATURES` wide, the only width a load accepts.
 fn fixture() -> (BehavIoT, SystemModel) {
-    let dim = 3;
+    let dim = N_FEATURES;
     let mk_periodic = |ip: Ipv4Addr, dest: &str, n_cores: usize| {
         let std = Standardizer::from_params(vec![0.5; dim], vec![1.25; dim]).unwrap();
         let cluster = DbscanModel::from_parts(

@@ -1,14 +1,15 @@
 //! Round-trip properties for every persisted artifact: `save → load →
 //! save` must be **byte-equal** for arbitrary (valid) models — including
-//! empty model sets, 21-dimension clusters, subnormal and negative-zero
-//! floats. Built in the style of `crates/cluster/tests/parity.rs`: models
-//! are constructed directly through the `from_parts` validation APIs (no
-//! training), so the generated space is much wider than anything the
-//! trainer produces.
+//! empty model sets, subnormal and negative-zero floats. Models are
+//! `N_FEATURES` (21) wide, the only width a load accepts. Built in the
+//! style of `crates/cluster/tests/parity.rs`: models are constructed
+//! directly through the `from_parts` validation APIs (no training), so the
+//! generated space is much wider than anything the trainer produces.
 
 use behaviot::{
     BehavIoT, HealthConfig, HealthExport, HealthState, MonitorConfig, MonitorState, PeriodicModel,
     PeriodicModelSet, PeriodicTrainConfig, SystemModel, SystemModelConfig, UserActionModels,
+    N_FEATURES,
 };
 use behaviot_cluster::{DbscanModel, Standardizer};
 use behaviot_forest::{DecisionTree, NodeSpec, RandomForest};
@@ -162,20 +163,18 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
     /// save → load → save is byte-equal for arbitrary valid model sets:
-    /// varying device counts (including zero models), cluster dimensions
-    /// (21 included), forest shapes, optional system/monitor/health
-    /// artifacts, and full-spectrum float values.
+    /// varying device counts (including zero models), core counts, forest
+    /// shapes, optional system/monitor/health artifacts, and full-spectrum
+    /// float values.
     #[test]
     fn snapshot_roundtrip_byte_equal(
         seeds in proptest::collection::vec(any::<u64>(), 1..12),
         n_devices in 0usize..4,
-        dim_sel in 0usize..4,
         with_system in any::<bool>(),
         with_monitor in any::<bool>(),
         with_health in any::<bool>(),
     ) {
-        // dim 21 (the paper's feature count) every 4th case.
-        let dim = if dim_sel == 0 { 21 } else { dim_sel * 3 };
+        let dim = N_FEATURES;
         let mut models = Vec::new();
         let mut users = Vec::new();
         let mut names = HashMap::new();

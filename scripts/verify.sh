@@ -1,10 +1,12 @@
 #!/usr/bin/env bash
 # Repo verification gate: rustfmt (the tree must be `cargo fmt`-clean),
 # build, full test suite, the parallel-determinism contract under an
-# explicit thread count and under `off`, the allocation contracts, clippy
-# with warnings denied on every workspace crate, rustdoc with warnings
-# denied (dangling doc links fail), and the parity references the
-# rewritten DSP and clustering cores are checked against.
+# explicit thread count and under `off`, the allocation contracts, the
+# fleet-health store smokes (distinct core rows, refusal of a corrupt
+# store, continuation), clippy with warnings denied on every workspace
+# crate, rustdoc with warnings denied (dangling doc links fail), and the
+# parity references the rewritten DSP and clustering cores are checked
+# against.
 #
 # Usage: scripts/verify.sh
 set -euo pipefail
@@ -62,6 +64,7 @@ cargo test --release -q -p behaviot-harness --test store_replay
 echo "==> store: corrupt-load smoke (byte-flip/insert/truncate proptests never panic)"
 cargo test --release -q -p behaviot-store --test corruption_proptests
 cargo test --release -q -p behaviot-store --test roundtrip_proptests
+cargo test --release -q -p behaviot-store --test load_contracts
 
 echo "==> ledger determinism: audit bytes identical across policies and kill/restore"
 cargo test --release -q -p behaviot-harness --test ledger_determinism
@@ -93,9 +96,9 @@ assert not bare, f"metrics missing stage prefixes: {sorted(bare)}"
 print(f"trace smoke: {len(spans)} span names, {len(metrics)} metrics ok")
 EOF
 
-echo "==> health smoke: fleet-health replay with ledger + OpenMetrics artifacts"
+echo "==> health smoke: fleet-health replay with ledger + OpenMetrics artifacts, saved to a store"
 cargo run --release -q -p behaviot-bench --bin fleet-health -- \
-  --quick --days 6 --threads 2 \
+  --quick --days 6 --threads 2 --store "$obs_tmp/store" \
   --ledger-out "$obs_tmp/ledger.jsonl" --openmetrics-out "$obs_tmp/metrics.prom" \
   > "$obs_tmp/fleet.txt"
 python3 - "$obs_tmp/fleet.txt" "$obs_tmp/ledger.jsonl" <<'EOF'
@@ -156,6 +159,75 @@ for kind in ("window", "deviation", "health"):
     assert kinds.get(kind), f"ledger has no {kind} records ({kinds})"
 print(f"health smoke: covered {covered}/{total}, ledger {kinds} ok")
 EOF
+
+echo "==> store lint: no periodic model stores a core value twice"
+python3 - "$obs_tmp/store" <<'EOF'
+import glob, os, sys
+
+# Floats are written in shortest round-trip form, so equal text is equal
+# bits: a repeated `core|` value within one `model|` group is a copy the
+# DBSCAN fit should have dropped.
+files = sorted(glob.glob(os.path.join(sys.argv[1], "periodic@*.tsv")))
+assert files, "the saved store holds no periodic@ artifact"
+models = rows = 0
+for path in files:
+    values = set()
+    for n, line in enumerate(open(path), 1):
+        if line.startswith("model|"):
+            models += 1
+            values = set()
+        elif line.startswith("core|"):
+            rows += 1
+            value = line.rstrip("\n").split("|", 2)[2]
+            assert value not in values, f"{os.path.basename(path)}:{n}: core row repeats a value of its model"
+            values.add(value)
+print(f"store lint: {len(files)} periodic@ artifacts, {models} models, {rows} distinct core rows ok")
+EOF
+
+echo "==> store smoke: fleet-health refuses a corrupt store and leaves it as it was"
+cp -r "$obs_tmp/store" "$obs_tmp/corrupt"
+python3 - "$obs_tmp/corrupt" <<'EOF'
+import glob, sys
+
+path = sorted(glob.glob(sys.argv[1] + "/periodic@*.tsv"))[0]
+data = bytearray(open(path, "rb").read())
+data[len(data) // 2] ^= 0x01
+open(path, "wb").write(bytes(data))
+EOF
+store_state() { (cd "$1" && find . -printf '%p %s %T@\n' | sort && find . -type f -exec sha256sum {} + | sort); }
+corrupt_before="$(store_state "$obs_tmp/corrupt")"
+if cargo run --release -q -p behaviot-bench --bin fleet-health -- \
+  --quick --days 1 --threads 2 --store "$obs_tmp/corrupt" \
+  > "$obs_tmp/corrupt.txt" 2> "$obs_tmp/corrupt.err"; then
+  echo "fleet-health exited 0 on a store with a flipped byte"
+  exit 1
+fi
+grep -q "cannot restore the monitor from $obs_tmp/corrupt" "$obs_tmp/corrupt.err" || {
+  echo "fleet-health failed on the corrupt store without naming it:"
+  cat "$obs_tmp/corrupt.err"
+  exit 1
+}
+[ "$(store_state "$obs_tmp/corrupt")" = "$corrupt_before" ] || {
+  echo "fleet-health wrote to a store it could not load"
+  exit 1
+}
+echo "store smoke: corrupt store refused and left as it was: $(tail -n 1 "$obs_tmp/corrupt.err")"
+
+echo "==> store smoke: a 1-day continuation restores the saved monitor"
+cargo run --release -q -p behaviot-bench --bin fleet-health -- \
+  --quick --days 1 --threads 2 --store "$obs_tmp/store" \
+  > "$obs_tmp/fleet-next.txt" 2> "$obs_tmp/fleet-next.err"
+grep -q "restored monitor from $obs_tmp/store" "$obs_tmp/fleet-next.err" || {
+  echo "the continuation did not restore the saved monitor:"
+  cat "$obs_tmp/fleet-next.err"
+  exit 1
+}
+grep -q "over days 6\.\.7 ==" "$obs_tmp/fleet-next.txt" || {
+  echo "the continuation did not resume at day 6:"
+  head -n 1 "$obs_tmp/fleet-next.txt"
+  exit 1
+}
+echo "store smoke: the continuation restored the monitor and resumed at day 6"
 
 echo "==> OpenMetrics lint: exposition well-formed and EOF-terminated"
 python3 - "$obs_tmp/metrics.prom" <<'EOF'

@@ -17,10 +17,13 @@
 //!   point),
 //! * `checkpoint` genuinely skips unchanged devices (proved behaviorally:
 //!   corrupt an unchanged device's file on disk, checkpoint, and the stale
-//!   bytes — and stale manifest hash — are still there).
+//!   bytes — and stale manifest hash — are still there),
+//! * a snapshot of models trained through the pipeline on the quick
+//!   dataset stores each core value of a periodic model once.
 
 use behaviot::{BehavIoT, Deviation, Monitor, MonitorConfig, SystemModel, SystemModelConfig};
 use behaviot::{TrainConfig, TrainingData};
+use behaviot_bench::{Prepared, Scale};
 use behaviot_flows::{FlowRecord, N_FEATURES};
 use behaviot_intern::{FxHashSet, Symbol};
 use behaviot_net::Proto;
@@ -434,5 +437,41 @@ fn checkpoint_skips_unchanged_devices() {
     store.checkpoint(&spec, &changed).unwrap();
     store.load().unwrap();
 
+    fs::remove_dir_all(&dir).unwrap();
+}
+
+/// The DBSCAN fit keeps one row per distinct core value, so no `core|` row
+/// of a periodic model in a trained snapshot repeats another's value. Floats
+/// are written in shortest round-trip form, so equal text is equal bits.
+#[test]
+fn trained_snapshot_stores_each_core_value_once() {
+    let p = Prepared::build_with(Scale::quick(), Parallelism::Off);
+    let dir = temp_store("distinct-cores");
+    let store = ModelStore::open(&dir).unwrap();
+    store.save(&SnapshotSpec::new(&p.models)).unwrap();
+    let (mut models, mut rows) = (0usize, 0usize);
+    for (name, bytes) in snapshot_bytes(&dir) {
+        if !name.starts_with("periodic@") {
+            continue;
+        }
+        let text = String::from_utf8(bytes).unwrap();
+        let mut values: FxHashSet<&str> = FxHashSet::default();
+        for (n, line) in text.lines().enumerate() {
+            if line.starts_with("model|") {
+                models += 1;
+                values.clear();
+            } else if let Some(core) = line.strip_prefix("core|") {
+                rows += 1;
+                let (_, value) = core.split_once('|').unwrap();
+                assert!(
+                    values.insert(value),
+                    "{name}:{}: a core row repeats a value of its model",
+                    n + 1
+                );
+            }
+        }
+    }
+    assert_eq!(models, p.models.periodic.len());
+    assert!(rows > 0, "no core rows in {models} models");
     fs::remove_dir_all(&dir).unwrap();
 }
