@@ -118,6 +118,13 @@ pub struct Pfsm {
 impl Pfsm {
     /// Infer a PFSM from a trace log. Invariants are mined internally when
     /// refinement is enabled.
+    ///
+    /// Refinement evaluates the invariant queries in rounds. Each
+    /// evaluation is one BFS over the abstract partition graph, which is
+    /// built once before the first evaluation and again after each split,
+    /// since only a split changes it. The `pfsm.infer` span records the
+    /// evaluations (`queries`) and the graphs built (`graphs`, at most
+    /// `splits + 1`) next to `splits`.
     pub fn infer(log: &TraceLog, cfg: &PfsmConfig) -> Self {
         let mut span = behaviot_obs::span!("pfsm.infer", traces = log.traces.len());
         // partition[t][i] = partition id of instance (trace t, position i).
@@ -140,10 +147,10 @@ impl Pfsm {
             assignment.push(row);
         }
 
-        let mut splits = 0usize;
+        let mut refined = Refinement::default();
         if cfg.refine && !log.is_empty() {
             let inv = mine_invariants(log);
-            splits = refine(
+            refined = refine(
                 log,
                 &mut assignment,
                 &mut parts,
@@ -152,6 +159,7 @@ impl Pfsm {
                 cfg.max_splits,
             );
         }
+        let splits = refined.splits;
 
         // Build the final machine: state 0 INITIAL, 1 FINAL, then one state
         // per (non-empty) partition.
@@ -202,6 +210,8 @@ impl Pfsm {
         span.record("states", out.n_states());
         span.record("transitions", out.n_transitions());
         span.record("splits", splits);
+        span.record("queries", refined.queries);
+        span.record("graphs", refined.graphs);
         out
     }
 
@@ -406,6 +416,38 @@ struct PathQuery {
     avoid_event: Option<EventId>,
 }
 
+/// What one refinement did.
+#[derive(Debug, Default)]
+struct Refinement {
+    /// Partition splits made.
+    splits: usize,
+    /// Query evaluations, one BFS each.
+    queries: usize,
+    /// Abstract partition graphs built.
+    graphs: usize,
+}
+
+/// Abstract-graph node of the virtual INITIAL state.
+const INIT_N: usize = usize::MAX - 1;
+/// Abstract-graph node of the virtual FINAL state.
+const FINAL_N: usize = usize::MAX;
+
+/// The abstract adjacency over partitions: an edge `p -> q` for every
+/// concrete step from an instance in `p` to one in `q`, plus
+/// [`INIT_N`]/[`FINAL_N`] edges for every trace's first and last step.
+fn abstract_graph(log: &TraceLog, assignment: &[Vec<usize>]) -> FxHashMap<usize, FxHashSet<usize>> {
+    let mut adj: FxHashMap<usize, FxHashSet<usize>> = FxHashMap::default();
+    for (t, trace) in log.traces.iter().enumerate() {
+        let mut prev = INIT_N;
+        for &cur in assignment[t].iter().take(trace.len()) {
+            adj.entry(prev).or_default().insert(cur);
+            prev = cur;
+        }
+        adj.entry(prev).or_default().insert(FINAL_N);
+    }
+    adj
+}
+
 fn refine(
     log: &TraceLog,
     assignment: &mut [Vec<usize>],
@@ -413,7 +455,7 @@ fn refine(
     part_event: &mut Vec<EventId>,
     inv: &Invariants,
     max_splits: usize,
-) -> usize {
+) -> Refinement {
     // Build queries: a violation exists iff the abstract graph has a path
     //   NFby(a,b):  a ->* b                        (avoid: nothing)
     //   AFby(a,b):  a ->* FINAL avoiding b
@@ -447,50 +489,50 @@ fn refine(
         });
     }
 
-    let mut splits = 0usize;
+    // Only a split changes the abstract graph, so every query between two
+    // splits reads the same one. A split drops it, and the next query gets
+    // a new map built from scratch: neighbour iteration order picks the BFS
+    // path, and so the next split, and a map cleared and refilled would
+    // keep its old capacity and could iterate in a different order.
+    let mut done = Refinement::default();
+    let mut adj: Option<FxHashMap<usize, FxHashSet<usize>>> = None;
     let mut progress = true;
-    while progress && splits < max_splits {
+    while progress && done.splits < max_splits {
         progress = false;
         for q in &queries {
-            if splits >= max_splits {
+            if done.splits >= max_splits {
                 break;
             }
-            if let Some(split_done) = try_refine_query(log, assignment, parts, part_event, q) {
-                if split_done {
-                    splits += 1;
-                    progress = true;
-                }
+            let graph = adj.get_or_insert_with(|| {
+                done.graphs += 1;
+                abstract_graph(log, assignment)
+            });
+            done.queries += 1;
+            if try_refine_query(log, graph, assignment, parts, part_event, q) == Some(true) {
+                done.splits += 1;
+                progress = true;
+                adj = None;
             }
         }
     }
-    splits
+    done
 }
 
-/// Check one query against the current partitioning. Returns:
+/// Check one query against the current partitioning, whose abstract graph
+/// is `adj` ([`abstract_graph`]). Returns:
 /// * `None` — no abstract violating path: invariant satisfied.
 /// * `Some(false)` — a violating path exists but is concretely supported;
 ///   nothing we can do (the "invariant" was vacuous at the path level).
 /// * `Some(true)` — found a spurious step and split a partition.
 fn try_refine_query(
     log: &TraceLog,
+    adj: &FxHashMap<usize, FxHashSet<usize>>,
     assignment: &mut [Vec<usize>],
     parts: &mut Vec<Vec<(usize, usize)>>,
     part_event: &mut Vec<EventId>,
     q: &PathQuery,
 ) -> Option<bool> {
     let n_parts = parts.len();
-    // Abstract adjacency over partitions; usize::MAX-1 = INITIAL, MAX = FINAL.
-    const INIT_N: usize = usize::MAX - 1;
-    const FINAL_N: usize = usize::MAX;
-    let mut adj: FxHashMap<usize, FxHashSet<usize>> = FxHashMap::default();
-    for (t, trace) in log.traces.iter().enumerate() {
-        let mut prev = INIT_N;
-        for &cur in assignment[t].iter().take(trace.len()) {
-            adj.entry(prev).or_default().insert(cur);
-            prev = cur;
-        }
-        adj.entry(prev).or_default().insert(FINAL_N);
-    }
 
     let avoid =
         |p: usize| -> bool { p < n_parts && q.avoid_event.is_some_and(|e| part_event[p] == e) };

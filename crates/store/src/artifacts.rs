@@ -90,6 +90,37 @@ fn parse_f64_list(
     s.split(',').map(|p| pf(artifact, line, p, what)).collect()
 }
 
+/// The fields of `s` split at `sep` when there are exactly `N` of them:
+/// `s.split(sep).collect::<Vec<_>>()` plus a length check, without the
+/// `Vec`.
+fn split_exact<const N: usize>(s: &str, sep: char) -> Option<[&str; N]> {
+    let mut fields = [""; N];
+    let mut it = s.split(sep);
+    for f in &mut fields {
+        *f = it.next()?;
+    }
+    it.next().is_none().then_some(fields)
+}
+
+/// The record kind: everything before the line's first `|`.
+fn record_kind(line: &str) -> &str {
+    line.split_once('|').map_or(line, |(kind, _)| kind)
+}
+
+/// Refuse to render a model of a feature width other than
+/// [`N_FEATURES`]: every load refuses it, so the snapshot would never
+/// restore.
+fn check_width(artifact: &str, width: usize) -> Result<(), StoreError> {
+    if width == N_FEATURES {
+        Ok(())
+    } else {
+        Err(StoreError::BadWidth {
+            artifact: artifact.to_string(),
+            width,
+        })
+    }
+}
+
 // ---------------------------------------------------------------------------
 // periodic.cfg — training configuration + coverage
 
@@ -168,6 +199,7 @@ pub(crate) fn render_periodic_device(
 ) -> Result<String, StoreError> {
     let mut out = String::new();
     for m in models {
+        check_width(artifact, m.cluster().dim())?;
         out.push_str(&format!(
             "model|{}|{}|{}\n",
             escape(m.destination.as_str()),
@@ -209,10 +241,35 @@ struct PendingPeriodic {
     std: Option<(Vec<f64>, Vec<f64>)>,
     cluster: Option<(f64, usize)>,
     offsets: Option<Vec<usize>>,
-    cores: Vec<(u32, Vec<f64>)>,
+    /// The flat core matrix, `N_FEATURES` values per `core|` row.
+    cores: Vec<f64>,
+    core_orig: Vec<u32>,
 }
 
 impl PendingPeriodic {
+    /// Append one `core|` row's coordinates to the flat core matrix,
+    /// refusing a row that is not `N_FEATURES` wide.
+    fn push_core(
+        &mut self,
+        artifact: &str,
+        line: usize,
+        orig: &str,
+        row: &str,
+    ) -> Result<(), StoreError> {
+        self.core_orig
+            .push(pu32(artifact, line, orig, "core origin")?);
+        let start = self.cores.len();
+        if !row.is_empty() {
+            for v in row.split(',') {
+                self.cores.push(pf(artifact, line, v, "core coordinate")?);
+            }
+        }
+        if self.cores.len() - start != N_FEATURES {
+            return Err(bad(artifact, line, "core row dimension mismatch"));
+        }
+        Ok(())
+    }
+
     fn finish(self, artifact: &str, device: Ipv4Addr) -> Result<PeriodicModel, StoreError> {
         let line = self.line;
         let err = move |reason: &str| bad(artifact, line, reason.to_string());
@@ -223,17 +280,9 @@ impl PendingPeriodic {
             return Err(err("cluster dimension is not the flow feature count"));
         }
         let offsets = self.offsets.ok_or_else(|| err("missing offsets line"))?;
-        let mut cores = Vec::with_capacity(self.cores.len() * dim);
-        let mut core_orig = Vec::with_capacity(self.cores.len());
-        for (orig, row) in self.cores {
-            if row.len() != dim {
-                return Err(err("core row dimension mismatch"));
-            }
-            core_orig.push(orig);
-            cores.extend_from_slice(&row);
-        }
         let standardizer = Standardizer::from_params(means, stds).map_err(err)?;
-        let cluster = DbscanModel::from_parts(eps, dim, cores, core_orig, offsets).map_err(err)?;
+        let cluster =
+            DbscanModel::from_parts(eps, dim, self.cores, self.core_orig, offsets).map_err(err)?;
         PeriodicModel::from_parts(
             device,
             self.dest,
@@ -258,17 +307,15 @@ pub(crate) fn parse_periodic_device(
     let mut pending: Option<PendingPeriodic> = None;
     for (i, line) in content.lines().enumerate() {
         let ln = i + 1;
-        let fields: Vec<&str> = line.split('|').collect();
-        match fields[0] {
+        match record_kind(line) {
             "model" => {
                 if let Some(p) = pending.take() {
                     out.push(p.finish(artifact, device)?);
                 }
-                if fields.len() != 4 {
-                    return Err(bad(artifact, ln, "bad model line"));
-                }
-                let dest = Symbol::intern(&pstr(artifact, ln, fields[1])?);
-                let proto = pproto(artifact, ln, fields[2])?;
+                let [_, dest, proto, n_train] =
+                    split_exact(line, '|').ok_or_else(|| bad(artifact, ln, "bad model line"))?;
+                let dest = Symbol::intern(&pstr(artifact, ln, dest)?);
+                let proto = pproto(artifact, ln, proto)?;
                 if !seen.insert((dest, proto)) {
                     return Err(StoreError::Duplicate {
                         artifact: artifact.to_string(),
@@ -279,12 +326,13 @@ pub(crate) fn parse_periodic_device(
                     line: ln,
                     dest,
                     proto,
-                    n_train: pu(artifact, ln, fields[3], "n_train")?,
+                    n_train: pu(artifact, ln, n_train, "n_train")?,
                     periods: None,
                     std: None,
                     cluster: None,
                     offsets: None,
                     cores: Vec::new(),
+                    core_orig: Vec::new(),
                 });
             }
             kind @ ("periods" | "std" | "cluster" | "offsets" | "core") => {
@@ -293,45 +341,39 @@ pub(crate) fn parse_periodic_device(
                     .ok_or_else(|| bad(artifact, ln, "record before model line"))?;
                 match kind {
                     "periods" => {
-                        let vals: Result<Vec<f64>, StoreError> = fields[1..]
-                            .iter()
+                        let vals: Result<Vec<f64>, StoreError> = line
+                            .split('|')
+                            .skip(1)
                             .map(|s| pf(artifact, ln, s, "period"))
                             .collect();
                         p.periods = Some(vals?);
                     }
                     "std" => {
-                        if fields.len() != 3 {
-                            return Err(bad(artifact, ln, "bad std line"));
-                        }
+                        let [_, means, stds] = split_exact(line, '|')
+                            .ok_or_else(|| bad(artifact, ln, "bad std line"))?;
                         p.std = Some((
-                            parse_f64_list(artifact, ln, fields[1], "mean")?,
-                            parse_f64_list(artifact, ln, fields[2], "std dev")?,
+                            parse_f64_list(artifact, ln, means, "mean")?,
+                            parse_f64_list(artifact, ln, stds, "std dev")?,
                         ));
                     }
                     "cluster" => {
-                        if fields.len() != 3 {
-                            return Err(bad(artifact, ln, "bad cluster line"));
-                        }
-                        p.cluster = Some((
-                            pf(artifact, ln, fields[1], "eps")?,
-                            pu(artifact, ln, fields[2], "dim")?,
-                        ));
+                        let [_, eps, dim] = split_exact(line, '|')
+                            .ok_or_else(|| bad(artifact, ln, "bad cluster line"))?;
+                        p.cluster =
+                            Some((pf(artifact, ln, eps, "eps")?, pu(artifact, ln, dim, "dim")?));
                     }
                     "offsets" => {
-                        let vals: Result<Vec<usize>, StoreError> = fields[1..]
-                            .iter()
+                        let vals: Result<Vec<usize>, StoreError> = line
+                            .split('|')
+                            .skip(1)
                             .map(|s| pu(artifact, ln, s, "offset"))
                             .collect();
                         p.offsets = Some(vals?);
                     }
                     _ => {
-                        if fields.len() != 3 {
-                            return Err(bad(artifact, ln, "bad core line"));
-                        }
-                        p.cores.push((
-                            pu32(artifact, ln, fields[1], "core origin")?,
-                            parse_f64_list(artifact, ln, fields[2], "core coordinate")?,
-                        ));
+                        let [_, orig, row] = split_exact(line, '|')
+                            .ok_or_else(|| bad(artifact, ln, "bad core line"))?;
+                        p.push_core(artifact, ln, orig, row)?;
                     }
                 }
             }
@@ -381,19 +423,20 @@ fn render_node(artifact: &str, node: &NodeSpec) -> Result<String, StoreError> {
 }
 
 fn parse_node(artifact: &str, line: usize, s: &str) -> Result<NodeSpec, StoreError> {
-    let parts: Vec<&str> = s.split(':').collect();
-    match parts[0] {
-        "L" if parts.len() == 2 => Ok(NodeSpec::Leaf {
-            prob: pf(artifact, line, parts[1], "leaf probability")?,
-        }),
-        "S" if parts.len() == 5 => Ok(NodeSpec::Split {
-            feature: pu(artifact, line, parts[1], "split feature")?,
-            threshold: pf(artifact, line, parts[2], "split threshold")?,
-            left: pu(artifact, line, parts[3], "left child")?,
-            right: pu(artifact, line, parts[4], "right child")?,
-        }),
-        _ => Err(bad(artifact, line, "bad node encoding")),
+    if let Some(["L", prob]) = split_exact(s, ':') {
+        return Ok(NodeSpec::Leaf {
+            prob: pf(artifact, line, prob, "leaf probability")?,
+        });
     }
+    if let Some(["S", feature, threshold, left, right]) = split_exact(s, ':') {
+        return Ok(NodeSpec::Split {
+            feature: pu(artifact, line, feature, "split feature")?,
+            threshold: pf(artifact, line, threshold, "split threshold")?,
+            left: pu(artifact, line, left, "left child")?,
+            right: pu(artifact, line, right, "right child")?,
+        });
+    }
+    Err(bad(artifact, line, "bad node encoding"))
 }
 
 /// Render one device's `(activity, forest)` list, preserving order (the
@@ -404,6 +447,9 @@ pub(crate) fn render_user_device(
 ) -> Result<String, StoreError> {
     let mut out = String::new();
     for (act, forest) in list {
+        for tree in forest.trees() {
+            check_width(artifact, tree.n_features())?;
+        }
         let oob = match forest.oob_score() {
             Some(s) => ff(artifact, s)?,
             None => "-".to_string(),
@@ -459,27 +505,25 @@ pub(crate) fn parse_user_device(
         };
     for (i, line) in content.lines().enumerate() {
         let ln = i + 1;
-        let fields: Vec<&str> = line.split('|').collect();
-        match fields[0] {
+        match record_kind(line) {
             "activity" => {
                 if let Some(p) = pending.take() {
                     finish(p, &mut out)?;
                 }
-                if fields.len() != 4 {
-                    return Err(bad(artifact, ln, "bad activity line"));
-                }
-                let act = Symbol::intern(&pstr(artifact, ln, fields[1])?);
+                let [_, act, n_trees, oob] =
+                    split_exact(line, '|').ok_or_else(|| bad(artifact, ln, "bad activity line"))?;
+                let act = Symbol::intern(&pstr(artifact, ln, act)?);
                 if !seen.insert(act) {
                     return Err(StoreError::Duplicate {
                         artifact: artifact.to_string(),
                         key: act.as_str().to_string(),
                     });
                 }
-                let n_trees = pu(artifact, ln, fields[2], "tree count")?;
-                let oob = if fields[3] == "-" {
+                let n_trees = pu(artifact, ln, n_trees, "tree count")?;
+                let oob = if oob == "-" {
                     None
                 } else {
-                    Some(pf(artifact, ln, fields[3], "oob score")?)
+                    Some(pf(artifact, ln, oob, "oob score")?)
                 };
                 pending = Some(PendingForest {
                     act,
@@ -493,10 +537,11 @@ pub(crate) fn parse_user_device(
                 let p = pending
                     .as_mut()
                     .ok_or_else(|| bad(artifact, ln, "tree before activity line"))?;
-                if fields.len() < 3 {
+                let mut fields = line.splitn(3, '|').skip(1);
+                let (Some(n_features), Some(nodes)) = (fields.next(), fields.next()) else {
                     return Err(bad(artifact, ln, "bad tree line"));
-                }
-                let n_features = pu(artifact, ln, fields[1], "feature count")?;
+                };
+                let n_features = pu(artifact, ln, n_features, "feature count")?;
                 if n_features != N_FEATURES {
                     return Err(bad(
                         artifact,
@@ -504,8 +549,8 @@ pub(crate) fn parse_user_device(
                         "tree feature count is not the flow feature count",
                     ));
                 }
-                let nodes: Result<Vec<NodeSpec>, StoreError> = fields[2..]
-                    .iter()
+                let nodes: Result<Vec<NodeSpec>, StoreError> = nodes
+                    .split('|')
                     .map(|s| parse_node(artifact, ln, s))
                     .collect();
                 let tree = DecisionTree::from_nodes(nodes?, n_features)

@@ -24,7 +24,9 @@
 //!   [`StoreError::artifact`] pinpoints the failing artifact (manifests
 //!   store length + hash; parses are fully validated, down to each model's
 //!   feature width, which must be [`behaviot::N_FEATURES`] for the model to
-//!   serve a flow).
+//!   serve a flow). A save refuses a model of any other width
+//!   ([`StoreError::BadWidth`]), so it never writes a snapshot that no load
+//!   accepts.
 //! * **O(changed-devices) checkpoints** — [`ModelStore::checkpoint`]
 //!   re-renders only the per-device artifacts whose device is in the
 //!   caller's changed set, reusing the previous manifest entries (and
@@ -114,6 +116,15 @@ pub enum StoreError {
         /// The artifact being rendered.
         artifact: String,
     },
+    /// A model to be saved has a feature width other than
+    /// [`behaviot::N_FEATURES`]. Every load refuses such a model, so the
+    /// snapshot would never restore; it must not be persisted.
+    BadWidth {
+        /// The artifact being rendered.
+        artifact: String,
+        /// The model's feature width.
+        width: usize,
+    },
 }
 
 impl StoreError {
@@ -125,7 +136,8 @@ impl StoreError {
             | StoreError::HashMismatch { artifact }
             | StoreError::BadRecord { artifact, .. }
             | StoreError::Duplicate { artifact, .. }
-            | StoreError::NonFinite { artifact } => Some(artifact),
+            | StoreError::NonFinite { artifact }
+            | StoreError::BadWidth { artifact, .. } => Some(artifact),
             StoreError::BadManifest { .. } | StoreError::BadVersion(_) => None,
         }
     }
@@ -156,6 +168,11 @@ impl fmt::Display for StoreError {
             StoreError::NonFinite { artifact } => {
                 write!(f, "non-finite value while rendering {artifact}")
             }
+            StoreError::BadWidth { artifact, width } => write!(
+                f,
+                "model of feature width {width} while rendering {artifact}; a snapshot holds only width {}",
+                behaviot::N_FEATURES
+            ),
         }
     }
 }
@@ -658,6 +675,7 @@ impl ModelStore {
     pub fn load(&self) -> Result<LoadedSnapshot, StoreError> {
         let mut span = behaviot_obs::span!("store.load");
         behaviot_obs::metrics().counter("store.loads").inc();
+        let read = behaviot_obs::span!("store.read");
         let entries = self.read_manifest_entries()?;
         span.record("artifacts", entries.len());
 
@@ -678,6 +696,7 @@ impl ModelStore {
             })?;
             contents.insert(e.name.clone(), text);
         }
+        drop(read);
         for required in ["periodic.cfg", "user.cfg", "names"] {
             if !contents.contains_key(required) {
                 return Err(StoreError::MissingArtifact {
@@ -686,6 +705,7 @@ impl ModelStore {
             }
         }
 
+        let parse = behaviot_obs::span!("store.parse");
         let (pcfg, coverage) =
             artifacts::parse_periodic_cfg("periodic.cfg", &contents["periodic.cfg"])?;
         let confidence = artifacts::parse_user_cfg("user.cfg", &contents["user.cfg"])?;
@@ -724,6 +744,7 @@ impl ModelStore {
                     key: device.to_string(),
                 }
             })?;
+        drop(parse);
 
         let system = match contents.get("system") {
             Some(body) => Some(artifacts::parse_system("system", body)?),

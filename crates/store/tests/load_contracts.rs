@@ -8,18 +8,25 @@
 //! * A model whose feature width is not `N_FEATURES` — a periodic model
 //!   with 20-wide `cluster|`/`std|`/`core|` rows, a forest with
 //!   `tree|20|…` — is a `StoreError::BadRecord`: accepted, it would load
-//!   and then panic in the serving path at its first flow.
+//!   and then panic in the serving path at its first flow. `save` never
+//!   writes such a model, so these fixtures rewrite one artifact of a
+//!   valid snapshot and re-stamp its `MANIFEST` entry.
+//! * `save` and `checkpoint` refuse such a model with
+//!   `StoreError::BadWidth` naming its artifact, before the manifest is
+//!   written: a store that held a snapshot keeps it, byte for byte, and
+//!   still loads it.
 
 use behaviot::{
     BehavIoT, PeriodicModel, PeriodicModelSet, PeriodicTrainConfig, UserActionModels, N_FEATURES,
 };
 use behaviot_cluster::{Dbscan, DbscanModel, FeatureMatrix, Standardizer};
 use behaviot_forest::{DecisionTree, NodeSpec, RandomForest};
-use behaviot_intern::Symbol;
+use behaviot_intern::{FxHashSet, FxHasher, Symbol};
 use behaviot_net::Proto;
 use behaviot_store::{ModelStore, SnapshotSpec, StoreError};
 use std::collections::HashMap;
 use std::fs;
+use std::hash::Hasher;
 use std::net::Ipv4Addr;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -213,10 +220,84 @@ fn snapshot_with_duplicate_cores_serves_like_its_deduplicated_form() {
     fs::remove_dir_all(&dir_b).unwrap();
 }
 
-fn assert_bad_record(models: &BehavIoT, prefix: &str) {
+/// The store's content hash: `FxHasher` over the bytes.
+fn hash_bytes(b: &[u8]) -> u64 {
+    let mut h = FxHasher::default();
+    h.write(b);
+    h.finish()
+}
+
+/// Rewrite the artifact whose name starts with `prefix` through `edit`,
+/// then re-stamp its `MANIFEST` entry with the new byte count and hash and
+/// the manifest's closing `check|` line, so the snapshot passes every
+/// integrity check and the edited bytes reach the parser.
+fn rewrite_artifact(dir: &Path, prefix: &str, edit: fn(&str) -> String) {
+    let manifest = fs::read_to_string(dir.join("MANIFEST")).unwrap();
+    let mut out = String::new();
+    let mut rewritten = 0;
+    for line in manifest.lines() {
+        let fields: Vec<&str> = line.split('|').collect();
+        match fields[0] {
+            "artifact" if fields[1].starts_with(prefix) => {
+                let path = dir.join(fields[2]);
+                let old = fs::read_to_string(&path).unwrap();
+                let new = edit(&old);
+                assert_ne!(new, old, "the edit must change {}", fields[1]);
+                fs::write(&path, &new).unwrap();
+                let (name, file) = (fields[1], fields[2]);
+                let (hash, len) = (hash_bytes(new.as_bytes()), new.len());
+                out.push_str(&format!("artifact|{name}|{file}|{hash:016x}|{len}\n"));
+                rewritten += 1;
+            }
+            "check" => {}
+            _ => {
+                out.push_str(line);
+                out.push('\n');
+            }
+        }
+    }
+    assert_eq!(rewritten, 1, "one {prefix} artifact");
+    out.push_str(&format!("check|{:016x}\n", hash_bytes(out.as_bytes())));
+    fs::write(dir.join("MANIFEST"), out).unwrap();
+}
+
+/// A comma-joined float list without its last value.
+fn drop_last(list: &str) -> &str {
+    list.rsplit_once(',').unwrap().0
+}
+
+/// The `periodic@` artifact's models, one feature narrower: the `cluster|`
+/// dimension and every `std|` and `core|` row lose their last feature.
+fn narrow_periodic(artifact: &str) -> String {
+    let mut out = String::new();
+    for line in artifact.lines() {
+        let fields: Vec<&str> = line.split('|').collect();
+        let narrowed = match fields[0] {
+            "std" => format!("std|{}|{}", drop_last(fields[1]), drop_last(fields[2])),
+            "cluster" => format!("cluster|{}|{}", fields[1], N_FEATURES - 1),
+            "core" => format!("core|{}|{}", fields[1], drop_last(fields[2])),
+            _ => line.to_string(),
+        };
+        out.push_str(&narrowed);
+        out.push('\n');
+    }
+    out
+}
+
+/// The `user@` artifact's trees, declared one feature narrower.
+fn narrow_forest(artifact: &str) -> String {
+    artifact.replace(
+        &format!("tree|{N_FEATURES}|"),
+        &format!("tree|{}|", N_FEATURES - 1),
+    )
+}
+
+fn assert_bad_record(models: &BehavIoT, prefix: &str, narrow: fn(&str) -> String) {
     let dir = temp_dir(prefix);
     let store = ModelStore::open(&dir).unwrap();
     store.save(&SnapshotSpec::new(models)).unwrap();
+    store.load().unwrap();
+    rewrite_artifact(&dir, prefix, narrow);
     match store.load().map(|_| ()).unwrap_err() {
         StoreError::BadRecord { artifact, .. } => assert_eq!(artifact, format!("{prefix}{DEV}")),
         other => panic!("expected BadRecord on {prefix}{DEV}, got {other:?}"),
@@ -224,20 +305,13 @@ fn assert_bad_record(models: &BehavIoT, prefix: &str) {
     fs::remove_dir_all(&dir).unwrap();
 }
 
-#[test]
-fn periodic_model_of_wrong_width_is_a_bad_record() {
-    let dim = N_FEATURES - 1;
+fn periodic_of_width(dim: usize) -> PeriodicModel {
     let standardizer = Standardizer::from_params(vec![0.0; dim], vec![1.0; dim]).unwrap();
     let cluster = DbscanModel::from_parts(0.5, dim, vec![0.25; dim], vec![0], vec![0, 1]).unwrap();
-    let models = models_of(
-        vec![periodic_model("hb.cloud.com", standardizer, cluster)],
-        UserActionModels::from_parts(vec![], 0.9).unwrap(),
-    );
-    assert_bad_record(&models, "periodic@");
+    periodic_model("hb.cloud.com", standardizer, cluster)
 }
 
-#[test]
-fn forest_of_wrong_width_is_a_bad_record() {
+fn user_of_width(n_features: usize) -> UserActionModels {
     let tree = DecisionTree::from_nodes(
         vec![
             NodeSpec::Split {
@@ -249,12 +323,71 @@ fn forest_of_wrong_width_is_a_bad_record() {
             NodeSpec::Leaf { prob: 0.25 },
             NodeSpec::Leaf { prob: 0.75 },
         ],
-        N_FEATURES - 1,
+        n_features,
     )
     .unwrap();
     let forest = RandomForest::from_trees(vec![tree], None).unwrap();
-    let user =
-        UserActionModels::from_parts(vec![(DEV, vec![(Symbol::intern("on_off"), forest)])], 0.9)
+    UserActionModels::from_parts(vec![(DEV, vec![(Symbol::intern("on_off"), forest)])], 0.9)
+        .unwrap()
+}
+
+#[test]
+fn periodic_model_of_wrong_width_is_a_bad_record() {
+    let models = models_of(
+        vec![periodic_of_width(N_FEATURES)],
+        UserActionModels::from_parts(vec![], 0.9).unwrap(),
+    );
+    assert_bad_record(&models, "periodic@", narrow_periodic);
+}
+
+#[test]
+fn forest_of_wrong_width_is_a_bad_record() {
+    let models = models_of(vec![], user_of_width(N_FEATURES));
+    assert_bad_record(&models, "user@", narrow_forest);
+}
+
+#[test]
+fn save_and_checkpoint_refuse_a_model_of_wrong_width() {
+    let dir = temp_dir("width");
+    let store = ModelStore::open(&dir).unwrap();
+    let good = models_of(
+        vec![periodic_of_width(N_FEATURES)],
+        user_of_width(N_FEATURES),
+    );
+    store.save(&SnapshotSpec::new(&good)).unwrap();
+    let committed = snapshot_bytes(&dir);
+    let changed: FxHashSet<Symbol> = [Symbol::intern_ipv4(DEV)].into_iter().collect();
+    let narrow = N_FEATURES - 1;
+    let cases = [
+        (
+            models_of(vec![periodic_of_width(narrow)], user_of_width(N_FEATURES)),
+            "periodic@",
+        ),
+        (
+            models_of(vec![periodic_of_width(N_FEATURES)], user_of_width(narrow)),
+            "user@",
+        ),
+    ];
+    for (models, prefix) in &cases {
+        let spec = SnapshotSpec::new(models);
+        for refused in [store.save(&spec), store.checkpoint(&spec, &changed)] {
+            match refused.unwrap_err() {
+                StoreError::BadWidth { artifact, width } => {
+                    assert_eq!(artifact, format!("{prefix}{DEV}"));
+                    assert_eq!(width, narrow);
+                }
+                other => panic!("expected BadWidth on {prefix}{DEV}, got {other:?}"),
+            }
+        }
+        assert_eq!(snapshot_bytes(&dir), committed, "the refused save wrote");
+        let loaded = store.load().unwrap();
+        let dir_b = temp_dir("width-b");
+        ModelStore::open(&dir_b)
+            .unwrap()
+            .save(&SnapshotSpec::new(&loaded.models))
             .unwrap();
-    assert_bad_record(&models_of(vec![], user), "user@");
+        assert_eq!(snapshot_bytes(&dir_b), committed, "the snapshot changed");
+        fs::remove_dir_all(&dir_b).unwrap();
+    }
+    fs::remove_dir_all(&dir).unwrap();
 }

@@ -2,11 +2,11 @@
 # Repo verification gate: rustfmt (the tree must be `cargo fmt`-clean),
 # build, full test suite, the parallel-determinism contract under an
 # explicit thread count and under `off`, the allocation contracts, the
-# fleet-health store smokes (distinct core rows, refusal of a corrupt
-# store, continuation), clippy with warnings denied on every workspace
-# crate, rustdoc with warnings denied (dangling doc links fail), and the
-# parity references the rewritten DSP and clustering cores are checked
-# against.
+# PFSM inference digest, the fleet-health store smokes (distinct core
+# rows, refusal of a corrupt store, continuation), clippy with warnings
+# denied on every workspace crate, rustdoc with warnings denied (dangling
+# doc links fail), and the parity references the rewritten DSP and
+# clustering cores are checked against.
 #
 # Usage: scripts/verify.sh
 set -euo pipefail
@@ -55,6 +55,9 @@ cargo test --release -q -p behaviot-flows --test assemble_alloc
 echo "==> alloc contract: steady-state monitor windows (plain + audited) allocate nothing"
 cargo test --release -q -p behaviot --test monitor_alloc
 
+echo "==> PFSM digest: inference over a seeded corpus of trace logs matches the recorded models"
+cargo test --release -q -p behaviot-pfsm --test infer_digest
+
 echo "==> monitor parity: symbol-native serving path matches the String pipeline byte-for-byte"
 cargo test --release -q -p behaviot-harness --test monitor_parity
 
@@ -77,7 +80,8 @@ cargo run --release -q -p behaviot-bench --bin obs_smoke -- \
 python3 - "$obs_tmp/trace.json" "$obs_tmp/metrics.jsonl" <<'EOF'
 import json, sys
 
-spans = {ev["name"] for ev in json.load(open(sys.argv[1]))}
+events = json.load(open(sys.argv[1]))
+spans = {ev["name"] for ev in events}
 need_spans = {
     "ingest.pcap", "flows.assemble", "prep.build", "periodic.train",
     "dsp.period_detect", "forest.fit", "events.infer", "system.pfsm",
@@ -85,6 +89,16 @@ need_spans = {
 }
 missing = need_spans - spans
 assert not missing, f"trace missing spans: {sorted(missing)}"
+
+# Refinement builds its abstract partition graph once, then once more
+# after each split: a count, so it holds on any host.
+for ev in events:
+    if ev["name"] == "pfsm.infer":
+        a = ev["args"]
+        assert a["graphs"] <= a["splits"] + 1, (
+            f"pfsm.infer built {a['graphs']} graphs for {a['splits']} splits "
+            f"({a['queries']} queries)"
+        )
 
 metrics = {json.loads(l)["metric"] for l in open(sys.argv[2]) if l.strip()}
 need_prefixes = {
