@@ -10,6 +10,11 @@
 //!              [--trace spans.json] [--metrics-out metrics.jsonl]
 //! ```
 //!
+//! Flags take their value as `--flag VALUE` or `--flag=VALUE`. Any other
+//! argument prints the usage line and exits 2 before any work, so a
+//! misspelt `--store DIR` never trains and serves without its store;
+//! `--help` prints the usage line and exits 0.
+//!
 //! With `--store DIR`: if `DIR` holds a snapshot (a `MANIFEST`), the monitor
 //! (timers, dedup flags, health registry, ledger sequence) is restored from
 //! it and the replay continues at the day after the last processed window;
@@ -23,10 +28,11 @@
 //! ground truth: every scripted §6.2 case should have left a matching
 //! health transition (deviation or staleness) on the implicated device.
 
-use behaviot::system::{traces_from_events_syms, SystemModel, SystemModelConfig};
+use behaviot::system::{SystemModel, SystemModelConfig};
 use behaviot::{HealthConfig, HealthState, HealthTransition, Monitor, MonitorConfig};
 use behaviot_bench::{
-    flag_from_args, parallelism_from_args, scale_from_args, ObsSession, Prepared,
+    check_args, flag_from_args, parallelism_from_args, scale_from_args, ArgCheck, ObsSession,
+    Prepared,
 };
 use behaviot_flows::{assemble_flows, FlowConfig};
 use behaviot_intern::Symbol;
@@ -35,7 +41,33 @@ use behaviot_sim::{self as sim, ExpectedSignal, IncidentScript, UncontrolledConf
 use behaviot_store::{ModelStore, SnapshotSpec};
 use std::fmt::Write as _;
 
+const USAGE: &str = "usage: fleet-health [--quick] [--days N] [--threads auto|off|N] \
+[--store DIR] [--ledger-out ledger.jsonl] [--openmetrics-out metrics.prom] \
+[--trace spans.json] [--metrics-out metrics.jsonl]";
+
+const FLAGS: &[&str] = &[
+    "--days",
+    "--threads",
+    "--store",
+    "--ledger-out",
+    "--openmetrics-out",
+    "--trace",
+    "--metrics-out",
+];
+
 fn main() {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    match check_args(&args, FLAGS, &["--quick"]) {
+        ArgCheck::Run => {}
+        ArgCheck::Help => {
+            println!("{USAGE}");
+            return;
+        }
+        ArgCheck::Unknown(a) => {
+            eprintln!("unknown argument {a:?}\n{USAGE}");
+            std::process::exit(2);
+        }
+    }
     let obs = ObsSession::from_args_with_ledger();
     let par = parallelism_from_args();
     let mut scale = scale_from_args();
@@ -53,10 +85,8 @@ fn main() {
     let restored = store_dir.as_deref().and_then(restore_monitor);
     let mut monitor = restored.unwrap_or_else(|| {
         let p = Prepared::build_with(scale, par);
-        let routine_flows: Vec<_> = p.routine.iter().map(|l| l.flow.clone()).collect();
-        let routine_events = p.models.infer_events(&routine_flows);
-        let traces = traces_from_events_syms(&routine_events, &p.names, 60.0);
-        let system = SystemModel::from_traces(&traces, &SystemModelConfig::default());
+        let system =
+            SystemModel::build(&p.routine_events(), &p.names, &SystemModelConfig::default());
         let mut m = Monitor::new(p.models.clone(), system, MonitorConfig::default());
         m.enable_health(HealthConfig::default());
         m

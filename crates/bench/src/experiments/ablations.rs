@@ -5,12 +5,13 @@
 
 use crate::prep::{time_folds, Prepared};
 use crate::report::{pct, table};
-use behaviot::periodic::{PeriodicModelSet, PeriodicTimers, PeriodicTrainConfig};
-use behaviot::system::{traces_from_events_syms, SystemModel, SystemModelConfig};
+use behaviot::periodic::{GroupKey, PeriodicModelSet, PeriodicTimers, PeriodicTrainConfig};
+use behaviot::system::{SystemModel, SystemModelConfig};
 use behaviot_flows::{assemble_flows, FlowConfig};
 use behaviot_intern::Symbol;
 use behaviot_pfsm::{PfsmConfig, SeqGraph, TraceLog};
 use behaviot_sim::{self as sim, TruthLabel};
+use std::collections::HashMap;
 
 /// Run all ablations and render one report.
 pub fn exp_ablations(p: &Prepared) -> String {
@@ -28,39 +29,43 @@ pub fn exp_ablations(p: &Prepared) -> String {
 }
 
 /// §4.1 argues pure timers lose accuracy to non-deterministic timing; the
-/// DBSCAN stage recovers it.
+/// DBSCAN stage recovers it. The timer-only verdict runs the classifier's
+/// count-up timer alone: per group, the gap since the group's previous
+/// flow must match a model period.
 fn timer_vs_dbscan(p: &Prepared) -> String {
     let folds = time_folds(&p.idle, 2);
     let train_flows: Vec<_> = folds[0].iter().map(|l| l.flow.clone()).collect();
     let models = PeriodicModelSet::train(&train_flows, &PeriodicTrainConfig::default());
-    let eval = |timer_only: bool| -> f64 {
-        let mut timers = PeriodicTimers::new();
-        let mut truth = 0usize;
-        let mut ok = 0usize;
-        for l in &folds[1] {
-            let is_periodic = timers.classify(&models, &l.flow, timer_only);
-            if matches!(l.label, Some(TruthLabel::Periodic(..))) {
-                truth += 1;
-                if is_periodic {
-                    ok += 1;
-                }
-            }
+    let mut timers = PeriodicTimers::new();
+    let mut last_seen: HashMap<GroupKey, f64> = HashMap::new();
+    let (mut truth, mut full, mut timer_only) = (0usize, 0usize, 0usize);
+    for l in &folds[1] {
+        let f = &l.flow;
+        let is_periodic = timers.classify(&models, f);
+        let (destination, proto) = f.group_key();
+        let key = (f.device, destination, proto);
+        let timer_hit = models.get(&key).is_some_and(|m| {
+            let last = last_seen.insert(key, f.start);
+            last.is_some_and(|last| m.timer_matches(f.start - last, models.config()))
+        });
+        if matches!(l.label, Some(TruthLabel::Periodic(..))) {
+            truth += 1;
+            full += usize::from(is_periodic);
+            timer_only += usize::from(timer_hit);
         }
-        ok as f64 / truth.max(1) as f64
-    };
-    let full = eval(false);
-    let timer_only = eval(true);
+    }
+    let frac = |ok: usize| ok as f64 / truth.max(1) as f64;
     format!(
         "[periodic labeling] timer-only accuracy {}  vs  timer+DBSCAN {}\n(the second stage recovers flows displaced by congestion/loss)\n",
-        pct(timer_only),
-        pct(full)
+        pct(frac(timer_only)),
+        pct(frac(full))
     )
 }
 
 /// §4.3 footnote 3: without additive smoothing, any unseen transition
 /// collapses the trace probability to zero and the metric saturates.
 fn smoothing(p: &Prepared) -> String {
-    let traces = routine_traces(p, 60.0);
+    let traces = p.routine_traces(60.0);
     let cut = (traces.len() * 7 / 10).max(1);
     let (train, test) = traces.split_at(cut);
     let smoothed = SystemModel::from_traces(train, &SystemModelConfig::default());
@@ -96,7 +101,7 @@ fn smoothing(p: &Prepared) -> String {
 
 /// Fig 3 companion: generalization, not just size.
 fn pfsm_vs_seqgraph(p: &Prepared) -> String {
-    let traces = routine_traces(p, 60.0);
+    let traces = p.routine_traces(60.0);
     let cut = (traces.len() * 7 / 10).max(1);
     let (train, test) = traces.split_at(cut);
     let mut log = TraceLog::new();
@@ -155,7 +160,7 @@ fn burst_gap(p: &Prepared) -> String {
 fn trace_gap(p: &Prepared) -> String {
     let mut rows = Vec::new();
     for gap in [15.0, 30.0, 60.0, 120.0, 300.0] {
-        let traces = routine_traces(p, gap);
+        let traces = p.routine_traces(gap);
         let events: usize = traces.iter().map(Vec::len).sum();
         let avg = if traces.is_empty() {
             0.0
@@ -172,10 +177,4 @@ fn trace_gap(p: &Prepared) -> String {
         "[trace gap sensitivity]\n{}",
         table(&["trace_gap_s", "traces", "events_per_trace"], &rows)
     )
-}
-
-fn routine_traces(p: &Prepared, gap: f64) -> Vec<Vec<Symbol>> {
-    let flows: Vec<_> = p.routine.iter().map(|l| l.flow.clone()).collect();
-    let events = p.models.infer_events(&flows);
-    traces_from_events_syms(&events, &p.names, gap)
 }

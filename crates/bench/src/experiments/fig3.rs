@@ -3,19 +3,12 @@
 
 use crate::prep::Prepared;
 use crate::report::table;
-use behaviot::system::traces_from_events_syms;
 use behaviot_intern::Symbol;
 use behaviot_pfsm::{Pfsm, PfsmConfig, SeqGraph, TraceLog};
 
-fn routine_traces(p: &Prepared) -> Vec<Vec<Symbol>> {
-    let flows: Vec<_> = p.routine.iter().map(|l| l.flow.clone()).collect();
-    let events = p.models.infer_events(&flows);
-    traces_from_events_syms(&events, &p.names, 60.0)
-}
-
 /// Regenerate Figure 3 as a table of model sizes vs device count.
 pub fn fig3(p: &Prepared) -> String {
-    let traces = routine_traces(p);
+    let traces = p.routine_traces(60.0);
     let routine_order: Vec<String> = p
         .catalog
         .routine_device_indices()
@@ -80,7 +73,7 @@ pub fn fig3(p: &Prepared) -> String {
 /// §5.2 PFSM properties: all training traces accepted; unseen similar
 /// traces accepted.
 pub fn exp_pfsm_props(p: &Prepared) -> String {
-    let traces = routine_traces(p);
+    let traces = p.routine_traces(60.0);
     if traces.len() < 10 {
         return "== §5.2 PFSM properties ==\n(not enough traces)\n".to_string();
     }

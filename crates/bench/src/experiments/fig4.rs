@@ -5,7 +5,7 @@ use crate::prep::{time_folds, Prepared};
 use crate::report::cdf_series;
 use behaviot::deviation::{long_term_deviations_syms, PERIODIC_THRESHOLD};
 use behaviot::periodic::{PeriodicModelSet, PeriodicTrainConfig};
-use behaviot::system::{traces_from_events_syms, SystemModel, SystemModelConfig};
+use behaviot::system::{SystemModel, SystemModelConfig};
 use behaviot_dsp::Ecdf;
 use behaviot_intern::Symbol;
 use behaviot_sim::LabeledFlow;
@@ -88,16 +88,10 @@ pub fn fig4a(p: &Prepared) -> String {
     out
 }
 
-fn routine_traces(p: &Prepared) -> Vec<Vec<Symbol>> {
-    let flows: Vec<_> = p.routine.iter().map(|l| l.flow.clone()).collect();
-    let events = p.models.infer_events(&flows);
-    traces_from_events_syms(&events, &p.names, 60.0)
-}
-
 /// Figure 4b: short-term metric CDFs with 1..5 injected unseen-transition
 /// events per trace.
 pub fn fig4b(p: &Prepared) -> String {
-    let traces = routine_traces(p);
+    let traces = p.routine_traces(60.0);
     let folds = time_folds(&traces, 5);
     let mut baseline_train: Vec<f64> = Vec::new();
     let mut baseline_test: Vec<f64> = Vec::new();
@@ -166,7 +160,7 @@ pub fn fig4b(p: &Prepared) -> String {
 
 /// Figure 4c: long-term metric CDFs with 1..5× duplicated traces.
 pub fn fig4c(p: &Prepared) -> String {
-    let traces = routine_traces(p);
+    let traces = p.routine_traces(60.0);
     let folds = time_folds(&traces, 5);
     let mut baseline: Vec<f64> = Vec::new();
     let mut duplicated: Vec<Vec<f64>> = vec![Vec::new(); 5];

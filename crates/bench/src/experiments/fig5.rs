@@ -7,7 +7,7 @@
 //! the two panels of Fig. 5.
 
 use crate::prep::Prepared;
-use behaviot::system::{traces_from_events_syms, SystemModel, SystemModelConfig};
+use behaviot::system::{SystemModel, SystemModelConfig};
 use behaviot::{DeviationKind, Monitor, MonitorConfig};
 use behaviot_flows::{assemble_flows, FlowConfig};
 use behaviot_obs::NullSink;
@@ -16,10 +16,7 @@ use behaviot_sim::{self as sim, IncidentScript, UncontrolledConfig};
 /// Run the uncontrolled experiment and render both Fig. 5 panels.
 pub fn fig5(p: &Prepared) -> String {
     // System model from the routine observation period.
-    let routine_flows: Vec<_> = p.routine.iter().map(|l| l.flow.clone()).collect();
-    let routine_events = p.models.infer_events(&routine_flows);
-    let traces = traces_from_events_syms(&routine_events, &p.names, 60.0);
-    let system = SystemModel::from_traces(&traces, &SystemModelConfig::default());
+    let system = SystemModel::build(&p.routine_events(), &p.names, &SystemModelConfig::default());
     let mut monitor = Monitor::new(p.models.clone(), system, MonitorConfig::default());
 
     let days = p.scale.uncontrolled_days;

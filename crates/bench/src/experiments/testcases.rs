@@ -3,19 +3,13 @@
 
 use crate::prep::Prepared;
 use behaviot::deviation::{long_term_deviations_syms, long_term_threshold};
-use behaviot::system::{traces_from_events_syms, SystemModel, SystemModelConfig};
+use behaviot::system::{SystemModel, SystemModelConfig};
 use behaviot_intern::Symbol;
-
-fn routine_traces(p: &Prepared) -> Vec<Vec<Symbol>> {
-    let flows: Vec<_> = p.routine.iter().map(|l| l.flow.clone()).collect();
-    let events = p.models.infer_events(&flows);
-    traces_from_events_syms(&events, &p.names, 60.0)
-}
 
 /// Run the three synthetic deviation cases against the routine-trained
 /// system model.
 pub fn exp_testcases(p: &Prepared) -> String {
-    let traces = routine_traces(p);
+    let traces = p.routine_traces(60.0);
     let cut = traces.len() * 7 / 10;
     let (train, test) = traces.split_at(cut.max(1));
     let model = SystemModel::from_traces(train, &SystemModelConfig::default());

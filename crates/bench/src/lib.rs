@@ -15,7 +15,7 @@ pub mod report;
 pub mod smoke;
 
 pub use behaviot_par::Parallelism;
-pub use obs::{flag_from_args, ObsSession};
+pub use obs::{check_args, flag_from_args, ArgCheck, ObsSession};
 pub use prep::{Prepared, Scale};
 
 /// Parse the common CLI convention of the experiment binaries: `--quick`

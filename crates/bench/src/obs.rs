@@ -1,5 +1,6 @@
 //! CLI plumbing shared by every experiment binary: the one `--flag VALUE`
-//! parser ([`flag_from_args`]), and the observability outputs `--trace
+//! parser ([`flag_from_args`]), the closed-argument check
+//! ([`check_args`]), and the observability outputs `--trace
 //! <path>`, `--metrics-out <path>`, `--ledger-out <path>`,
 //! `--openmetrics-out <path>` with the `BEHAVIOT_TRACE` environment
 //! variable.
@@ -14,7 +15,8 @@
 //! `Monitor::process_window_audited`; every other binary has no ledger to
 //! write, and [`ObsSession::from_args`] rejects `--ledger-out` there.
 //! Binaries whose argument parsers tolerate unknown flags need no further
-//! changes; strict parsers must also accept the flags.
+//! changes; a binary that refuses unknown arguments ([`check_args`]) must
+//! list these flags among its own.
 
 use behaviot_obs::{FileSink, LedgerSink, NullSink};
 use std::path::PathBuf;
@@ -46,6 +48,48 @@ fn flag_value(args: &[String], flag: &str) -> Result<Option<String>, String> {
         found = found.or_else(|| Some(v.to_string()));
     }
     Ok(found)
+}
+
+/// What a command line with a closed set of arguments asks for, by
+/// [`check_args`].
+#[derive(Debug, PartialEq, Eq)]
+pub enum ArgCheck {
+    /// Every argument is known: run.
+    Run,
+    /// `--help` came before any unknown argument: print the usage line
+    /// and exit 0.
+    Help,
+    /// The first argument that is no known flag, switch or flag value:
+    /// print the usage line and exit 2.
+    Unknown(String),
+}
+
+/// Check `args` against a binary's known arguments: `flags` take a value
+/// (`--flag VALUE` or `--flag=VALUE`), `switches` take none. In the
+/// separate form the next argument is the flag's value unless it starts
+/// with `--`; a missing value is left to [`flag_from_args`] to report.
+pub fn check_args(args: &[String], flags: &[&str], switches: &[&str]) -> ArgCheck {
+    let mut i = 0;
+    while i < args.len() {
+        let a = args[i].as_str();
+        i += 1;
+        if a == "--help" {
+            return ArgCheck::Help;
+        }
+        if flags.contains(&a) {
+            if args.get(i).is_some_and(|v| !v.starts_with("--")) {
+                i += 1;
+            }
+            continue;
+        }
+        let with_value = a
+            .split_once('=')
+            .is_some_and(|(flag, _)| flags.contains(&flag));
+        if !with_value && !switches.contains(&a) {
+            return ArgCheck::Unknown(a.to_string());
+        }
+    }
+    ArgCheck::Run
 }
 
 /// The value of `flag` in the process arguments: the one `--flag VALUE`
@@ -180,7 +224,7 @@ impl ObsSession {
 
 #[cfg(test)]
 mod tests {
-    use super::{flag_value, ObsSession};
+    use super::{check_args, flag_value, ArgCheck, ObsSession};
 
     fn args(a: &[&str]) -> Vec<String> {
         a.iter().map(|s| s.to_string()).collect()
@@ -244,6 +288,55 @@ mod tests {
         // A prefix of a longer flag is a different flag.
         let a = args(&["--threadsx=3", "--threads-max", "4"]);
         assert_eq!(flag_value(&a, "--threads"), Ok(None));
+    }
+
+    const FLAGS: &[&str] = &["--days", "--store", "--threads"];
+
+    #[test]
+    fn known_flags_switches_and_values_run() {
+        let a = args(&["--quick", "--days", "2", "--store=s", "--threads", "off"]);
+        assert_eq!(check_args(&a, FLAGS, &["--quick"]), ArgCheck::Run);
+        // A missing value is not an unknown argument: `flag_from_args`
+        // reports it.
+        let a = args(&["--store", "--quick", "--days"]);
+        assert_eq!(check_args(&a, FLAGS, &["--quick"]), ArgCheck::Run);
+    }
+
+    #[test]
+    fn help_asks_for_usage() {
+        let a = args(&["--quick", "--help", "--bogus"]);
+        assert_eq!(check_args(&a, FLAGS, &["--quick"]), ArgCheck::Help);
+        // A flag's value is a value, even when it reads `--help` after `=`.
+        let a = args(&["--store=--help"]);
+        assert_eq!(check_args(&a, FLAGS, &[]), ArgCheck::Run);
+    }
+
+    #[test]
+    fn misspelt_flag_is_unknown() {
+        let a = args(&["--quick", "--stor", "DIR"]);
+        assert_eq!(
+            check_args(&a, FLAGS, &["--quick"]),
+            ArgCheck::Unknown("--stor".into())
+        );
+        let a = args(&["--stor=DIR"]);
+        assert_eq!(
+            check_args(&a, FLAGS, &[]),
+            ArgCheck::Unknown("--stor=DIR".into())
+        );
+        // A switch takes no value.
+        let a = args(&["--quick=1"]);
+        assert_eq!(
+            check_args(&a, FLAGS, &["--quick"]),
+            ArgCheck::Unknown("--quick=1".into())
+        );
+    }
+
+    #[test]
+    fn stray_positional_is_unknown() {
+        let a = args(&["--days", "2", "3"]);
+        assert_eq!(check_args(&a, FLAGS, &[]), ArgCheck::Unknown("3".into()));
+        let a = args(&["DIR", "--store", "s"]);
+        assert_eq!(check_args(&a, FLAGS, &[]), ArgCheck::Unknown("DIR".into()));
     }
 
     #[test]

@@ -1,7 +1,9 @@
 //! Dataset generation + model training shared by the experiments.
 
-use behaviot::{BehavIoT, TrainConfig, TrainingData};
+use behaviot::system::traces_from_events_syms;
+use behaviot::{BehavIoT, InferredEvent, TrainConfig, TrainingData};
 use behaviot_flows::{assemble_flows, FlowConfig, FlowRecord};
+use behaviot_intern::Symbol;
 use behaviot_par::Parallelism;
 use behaviot_sim::{self as sim, Catalog, LabeledFlow, TruthLabel};
 use std::collections::HashMap;
@@ -126,6 +128,19 @@ impl Prepared {
             .get(&ip)
             .cloned()
             .unwrap_or_else(|| ip.to_string())
+    }
+
+    /// The events the trained models infer from the routine dataset: the
+    /// input of the system model (`SystemModel::build`).
+    pub fn routine_events(&self) -> Vec<InferredEvent> {
+        let flows: Vec<FlowRecord> = self.routine.iter().map(|l| l.flow.clone()).collect();
+        self.models.infer_events(&flows)
+    }
+
+    /// The user-event traces of [`Self::routine_events`], split at gaps
+    /// longer than `trace_gap` seconds (60 s in the paper).
+    pub fn routine_traces(&self, trace_gap: f64) -> Vec<Vec<Symbol>> {
+        traces_from_events_syms(&self.routine_events(), &self.names, trace_gap)
     }
 }
 

@@ -11,38 +11,33 @@
 //!   set is a single allocation instead of n boxed rows),
 //! * [`Standardizer`] — per-feature z-score normalization fitted on training
 //!   data (distances in DBSCAN are meaningless across raw feature scales),
-//! * [`Dbscan`] — the classic density-based clustering algorithm
-//!   (Ester et al., KDD'96), accelerated by a uniform grid index with
-//!   eps-sized bins so neighbor queries touch candidate cells instead of
-//!   scanning all n points, and computing each point's neighbor list exactly
-//!   once (CSR adjacency) instead of up to three times,
-//! * [`DbscanModel`] — a fitted model that can assign *new* points to the
-//!   trained clusters (a point joins a cluster when it lies within `eps` of
-//!   one of that cluster's core points), which is exactly how the pipeline
-//!   classifies future unlabeled flows as periodic events. Core points are
-//!   stored label-partitioned in one flat matrix, each distinct value once
-//!   per cluster; distance accumulation early-exits against the best bound,
-//!   and the boolean membership check ([`DbscanModel::matches`]) returns at
-//!   the first in-eps core point.
+//! * [`Dbscan`] — the density test of DBSCAN (Ester et al., KDD'96):
+//!   which training points are core points, found in one pass over a
+//!   uniform grid index with eps-sized bins, so each point's neighbor count
+//!   touches candidate cells instead of scanning all n points,
+//! * [`DbscanModel`] — the fitted core set, each distinct core value once,
+//!   which answers the one question the pipeline asks of a future flow:
+//!   does it lie within `eps` of a core point, i.e. inside one of the
+//!   trained clusters ([`DbscanModel::matches`], which returns at the first
+//!   in-eps core point).
+//!
+//! The pipeline never asks *which* cluster a flow joins, so the fit numbers
+//! no clusters: a point joins some cluster exactly when it lies within
+//! `eps` of a core point, and every core point belongs to a cluster.
 //!
 //! Every rewrite here is pinned to the pre-flat implementation (vendored in
-//! `tests/baseline/mod.rs`, checked by `tests/parity.rs`): labels and
-//! verdicts are byte-identical, and the stored cores are the baseline's
-//! distinct `(label, row)` set. Neighbor *sets* are unchanged by the
-//! grid (bin width = eps, so any pair within eps differs by at most one cell
-//! per binned dimension), neighbor lists are sorted ascending to reproduce
-//! the old full-scan enumeration order, and tie-breaks in
-//! [`DbscanModel::predict`] resolve by original training index exactly as
-//! the old first-match-wins scan did.
+//! `tests/baseline/mod.rs`, checked by `tests/parity.rs`): standardized
+//! values are bitwise equal, the stored cores are the baseline's core rows
+//! in its order minus later bitwise copies, and [`DbscanModel::matches`]
+//! agrees with the baseline's cluster assignment on every probe. Neighbor
+//! *sets* are unchanged by the grid (bin width = eps, so any pair within
+//! eps differs by at most one cell per binned dimension).
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
-
-/// Label assigned to points that belong to no cluster.
-pub const NOISE: i32 = -1;
 
 // ---------------------------------------------------------------------------
 // FeatureMatrix
@@ -200,12 +195,6 @@ impl Standardizer {
         Some(Self { means, stds })
     }
 
-    /// Fit on row-major data (`points[i]` is a feature vector). All rows
-    /// must share a dimension. Returns `None` for empty input.
-    pub fn fit(points: &[Vec<f64>]) -> Option<Self> {
-        Self::fit_matrix(&FeatureMatrix::from_rows(points))
-    }
-
     /// Fitted dimension.
     pub fn dim(&self) -> usize {
         self.means.len()
@@ -298,9 +287,9 @@ fn bits_eq(a: &[f64], b: &[f64]) -> bool {
 // ---------------------------------------------------------------------------
 
 /// Cheap multiply-xor hasher for grid-cell keys. The cell map is never
-/// iterated (all traversal goes through sorted neighbor lists), so hasher
-/// choice cannot affect labels — this exists purely because SipHash is
-/// measurable on the per-point candidate lookups.
+/// iterated, and the fit only counts and tests each point's candidates, so
+/// hasher choice cannot affect the model — this exists purely because
+/// SipHash is measurable on the per-point candidate lookups.
 #[derive(Default)]
 struct CellHasher(u64);
 
@@ -380,8 +369,7 @@ impl GridIndex {
     }
 
     /// Visit every point index in the cells adjacent to `key` (including
-    /// `key` itself). Visit order is arbitrary; callers that need an order
-    /// must sort what they collect.
+    /// `key` itself), in an arbitrary order.
     fn for_each_candidate(&self, key: [i64; GRID_DIMS], mut f: impl FnMut(u32)) {
         let span = |d: usize| -> [i64; 2] {
             if d < self.gdims {
@@ -422,145 +410,49 @@ pub struct Dbscan {
 }
 
 impl Dbscan {
-    /// Run DBSCAN over a flat matrix, returning per-point labels (`NOISE` or
-    /// a cluster id starting at 0) and the fitted model for classifying new
-    /// points.
+    /// Fit the core set of a flat matrix: every row with at least
+    /// `min_pts` rows within `eps` (itself included) is a core point, and
+    /// the model keeps each distinct core value once, in first-seen
+    /// training order.
     ///
-    /// Each point's eps-neighborhood is computed exactly once (into a CSR
-    /// adjacency shared by cluster expansion, core-point detection, and
-    /// model extraction) using the grid index, so the historical O(n²·3)
-    /// distance work drops to O(candidates) per point. Labels are
-    /// byte-identical to the pre-index implementation: neighbor lists are
-    /// sorted ascending (the old full-scan order), and BFS expansion,
-    /// border-point absorption, and cluster numbering are order-preserved.
-    ///
-    /// The model keeps one row per distinct core value in each cluster: the
-    /// first copy in training order, with its index. Later bitwise copies
-    /// (`f64::to_bits`, so `-0.0` and `0.0` stay distinct) are dropped,
-    /// which changes no [`DbscanModel::predict`] or
-    /// [`DbscanModel::matches`] verdict: a copy lies at the same distance
-    /// from every probe and loses the training-order tie-break to the
-    /// first one.
-    pub fn fit_matrix(&self, m: &FeatureMatrix) -> (Vec<i32>, DbscanModel) {
-        let n = m.n_rows();
-        let dim = m.dim();
-        assert!(n <= u32::MAX as usize, "too many points for u32 indices");
+    /// One grid pass counts each row's in-eps candidates and notes whether
+    /// an earlier bitwise copy (`f64::to_bits`, so `-0.0` and `0.0` stay
+    /// distinct) is among them. A copy lies at distance 0, so every
+    /// earlier copy of a row is among its in-eps candidates, and a copy has
+    /// the same neighborhood, so it is a core point exactly when the row
+    /// is. (A row holding a NaN or an infinity lies within `eps` of
+    /// nothing, so its copies are not merged.) No cluster labels are
+    /// needed: every core point belongs to a
+    /// cluster, and [`DbscanModel::matches`] asks only whether a point lies
+    /// within `eps` of some core point.
+    pub fn fit_matrix(&self, m: &FeatureMatrix) -> DbscanModel {
+        assert!(
+            m.n_rows() <= u32::MAX as usize,
+            "too many points for u32 indices"
+        );
         let eps_sq = self.eps * self.eps;
-
-        // Pass 1: neighbor lists, exactly once per point, CSR layout.
         let grid = GridIndex::build(m, self.eps);
-        let mut offsets: Vec<usize> = Vec::with_capacity(n + 1);
-        offsets.push(0);
-        let mut adj: Vec<u32> = Vec::new();
-        for i in 0..n {
+        let mut cores: Vec<f64> = Vec::new();
+        for i in 0..m.n_rows() {
             let pi = m.row(i);
-            let start = adj.len();
+            let mut degree = 0usize;
+            let mut copy_before = false;
             grid.for_each_candidate(grid.cell_of(pi), |j| {
-                if within_eps_sq(pi, m.row(j as usize), eps_sq) {
-                    adj.push(j);
+                let pj = m.row(j as usize);
+                if within_eps_sq(pi, pj, eps_sq) {
+                    degree += 1;
+                    copy_before = copy_before || ((j as usize) < i && bits_eq(pj, pi));
                 }
             });
-            // Ascending index order == the old `(0..n).filter(...)` scan.
-            adj[start..].sort_unstable();
-            offsets.push(adj.len());
-        }
-        let nbrs = |i: usize| -> &[u32] { &adj[offsets[i]..offsets[i + 1]] };
-
-        // Pass 2: the classic label/expand loop, reading the CSR adjacency
-        // with reusable visited/frontier buffers.
-        let mut labels = vec![NOISE; n];
-        let mut visited = vec![false; n];
-        let mut frontier: Vec<u32> = Vec::new();
-        let mut cluster = 0i32;
-        for i in 0..n {
-            if visited[i] {
-                continue;
-            }
-            visited[i] = true;
-            let seed = nbrs(i);
-            if seed.len() < self.min_pts {
-                continue; // stays noise unless later absorbed as a border point
-            }
-            // Start a new cluster; expand via BFS over density-reachable pts.
-            labels[i] = cluster;
-            frontier.clear();
-            frontier.extend_from_slice(seed);
-            let mut qi = 0;
-            while qi < frontier.len() {
-                let j = frontier[qi] as usize;
-                qi += 1;
-                if labels[j] == NOISE {
-                    labels[j] = cluster; // border point
-                }
-                if visited[j] {
-                    continue;
-                }
-                visited[j] = true;
-                labels[j] = cluster;
-                let jn = nbrs(j);
-                if jn.len() >= self.min_pts {
-                    frontier.extend_from_slice(jn);
-                }
-            }
-            cluster += 1;
-        }
-
-        // Pass 3: one row per distinct core value into a label-partitioned
-        // flat matrix (stable within each label, so original-index order is
-        // preserved per partition). Degrees come from the CSR offsets — no
-        // recomputation. A bitwise copy of row i lies at distance 0, so
-        // every earlier copy is among i's ascending neighbors below i; such
-        // a copy has i's neighborhood, so it is a core point of i's cluster
-        // and already stands for i (same distance to any probe, lower
-        // training index). Each point is decided once, here.
-        let n_clusters = cluster as usize;
-        let mut counts = vec![0usize; n_clusters];
-        let mut kept: Vec<u32> = Vec::new();
-        for i in 0..n {
-            if labels[i] == NOISE || offsets[i + 1] - offsets[i] < self.min_pts {
-                continue;
-            }
-            let row = m.row(i);
-            let copy_before = nbrs(i)
-                .iter()
-                .take_while(|&&j| (j as usize) < i)
-                .any(|&j| bits_eq(m.row(j as usize), row));
-            if !copy_before {
-                counts[labels[i] as usize] += 1;
-                kept.push(i as u32);
+            if degree >= self.min_pts && !copy_before {
+                cores.extend_from_slice(pi);
             }
         }
-        let mut label_offsets = vec![0usize; n_clusters + 1];
-        for (k, &c) in counts.iter().enumerate() {
-            label_offsets[k + 1] = label_offsets[k] + c;
+        DbscanModel {
+            eps: self.eps,
+            dim: m.dim(),
+            cores,
         }
-        let total_cores = label_offsets[n_clusters];
-        let mut cores = vec![0.0; total_cores * dim];
-        let mut core_orig = vec![0u32; total_cores];
-        let mut cursor = label_offsets.clone();
-        for &i in &kept {
-            let label = labels[i as usize] as usize;
-            let slot = cursor[label];
-            cursor[label] += 1;
-            cores[slot * dim..(slot + 1) * dim].copy_from_slice(m.row(i as usize));
-            core_orig[slot] = i;
-        }
-        (
-            labels,
-            DbscanModel {
-                eps: self.eps,
-                dim,
-                cores,
-                core_orig,
-                label_offsets,
-            },
-        )
-    }
-
-    /// Run DBSCAN over row vectors (convenience wrapper over
-    /// [`Self::fit_matrix`]). All rows must share a dimension.
-    pub fn fit(&self, points: &[Vec<f64>]) -> (Vec<i32>, DbscanModel) {
-        self.fit_matrix(&FeatureMatrix::from_rows(points))
     }
 }
 
@@ -568,86 +460,31 @@ impl Dbscan {
 // DbscanModel
 // ---------------------------------------------------------------------------
 
-/// A fitted DBSCAN model: cluster assignment for unseen points.
+/// A fitted DBSCAN model: the core points of the training set, one flat
+/// row-major matrix. A point belongs to a trained cluster when it lies
+/// within `eps` of one of them ([`Self::matches`]).
 ///
-/// Core points live in one flat row-major matrix partitioned by label
-/// (`label_offsets[k]..label_offsets[k+1]` are cluster `k`'s rows, in
-/// original training order); `core_orig` carries each row's index in the
-/// training set so distance ties resolve exactly as the historical
-/// first-match-wins full scan did.
-///
-/// A model from [`Dbscan::fit_matrix`] holds each distinct core value once
-/// per cluster (its first training copy), so the per-flow scans touch
-/// distinct points only. A model rebuilt by [`Self::from_parts`] may still
-/// hold copies — snapshots written before training dropped them do — and
-/// predicts exactly as its deduplicated form.
+/// A model from [`Dbscan::fit_matrix`] holds each distinct core value once,
+/// in first-seen training order, so the per-flow scan touches distinct
+/// points only. A model rebuilt by [`Self::from_parts`] may hold copies and
+/// matches exactly as its deduplicated form.
 #[derive(Debug, Clone)]
 pub struct DbscanModel {
     eps: f64,
     dim: usize,
     cores: Vec<f64>,
-    core_orig: Vec<u32>,
-    label_offsets: Vec<usize>,
 }
 
 impl DbscanModel {
-    /// Number of clusters discovered during fitting.
-    pub fn n_clusters(&self) -> usize {
-        self.label_offsets.len() - 1
-    }
-
     /// Number of stored core rows. After [`Dbscan::fit_matrix`] this is
-    /// the number of distinct core values per cluster, summed over
-    /// clusters, not the number of training points that are core points:
-    /// bitwise copies of a core point are stored once.
+    /// the number of distinct core values, not the number of training
+    /// points that are core points. A 0-dimensional model stores no rows.
     pub fn n_core_points(&self) -> usize {
-        self.core_orig.len()
+        self.cores.len().checked_div(self.dim).unwrap_or(0)
     }
 
     fn core_row(&self, r: usize) -> &[f64] {
         &self.cores[r * self.dim..(r + 1) * self.dim]
-    }
-
-    /// Assign a new point: the cluster of the nearest core point within
-    /// `eps`, else `None` (noise).
-    ///
-    /// Per-candidate distance accumulation early-exits once the running sum
-    /// exceeds the current best (strictly — equal-distance candidates run to
-    /// completion so the original-index tie-break can apply).
-    pub fn predict(&self, point: &[f64]) -> Option<i32> {
-        let eps_sq = self.eps * self.eps;
-        // (distance, original training index, label) of the best hit.
-        let mut best: Option<(f64, u32, i32)> = None;
-        for lab in 0..self.n_clusters() {
-            for r in self.label_offsets[lab]..self.label_offsets[lab + 1] {
-                let bound = best.map_or(eps_sq, |(bd, _, _)| bd);
-                let mut acc = 0.0;
-                let mut pruned = false;
-                for (x, y) in self.core_row(r).iter().zip(point) {
-                    let d = x - y;
-                    acc += d * d;
-                    if acc > bound {
-                        pruned = true;
-                        break;
-                    }
-                }
-                // Negated on purpose: a NaN distance must be rejected, and
-                // `acc > eps_sq` is false for NaN.
-                #[allow(clippy::neg_cmp_op_on_partial_ord)]
-                if pruned || !(acc <= eps_sq) {
-                    continue;
-                }
-                let orig = self.core_orig[r];
-                let better = match best {
-                    None => true,
-                    Some((bd, borig, _)) => acc < bd || (acc == bd && orig < borig),
-                };
-                if better {
-                    best = Some((acc, orig, lab as i32));
-                }
-            }
-        }
-        best.map(|(_, _, lab)| lab)
     }
 
     /// Neighborhood radius the model was fitted with.
@@ -660,65 +497,33 @@ impl DbscanModel {
         self.dim
     }
 
-    /// The flat label-partitioned core-point matrix (`n_core_points() * dim`
-    /// values, row-major).
+    /// The flat core-point matrix (`n_core_points() * dim` values,
+    /// row-major).
     pub fn cores(&self) -> &[f64] {
         &self.cores
     }
 
-    /// Original training index of each stored core row (the predict
-    /// tie-break order).
-    pub fn core_orig(&self) -> &[u32] {
-        &self.core_orig
-    }
-
-    /// Label partition offsets: cluster `k` owns core rows
-    /// `label_offsets()[k]..label_offsets()[k+1]`.
-    pub fn label_offsets(&self) -> &[usize] {
-        &self.label_offsets
-    }
-
-    /// Rebuild a model from previously exported parts, validating every
-    /// structural invariant [`Dbscan::fit_matrix`] guarantees so a
-    /// corrupted snapshot can never produce a model whose `predict` indexes
-    /// out of bounds. Never panics.
-    pub fn from_parts(
-        eps: f64,
-        dim: usize,
-        cores: Vec<f64>,
-        core_orig: Vec<u32>,
-        label_offsets: Vec<usize>,
-    ) -> Result<Self, &'static str> {
+    /// Rebuild a model from previously exported parts, validating what
+    /// [`Dbscan::fit_matrix`] guarantees so a corrupted snapshot can never
+    /// produce a model that indexes out of bounds. Repeated rows are
+    /// accepted. Never panics.
+    pub fn from_parts(eps: f64, dim: usize, cores: Vec<f64>) -> Result<Self, &'static str> {
         if !eps.is_finite() || eps < 0.0 {
             return Err("bad eps");
         }
-        if cores.len() != core_orig.len() * dim {
-            return Err("cores/core_orig size mismatch");
+        // `is_multiple_of(0)` holds only for 0: a 0-dimensional model
+        // has no values.
+        if !cores.len().is_multiple_of(dim) {
+            return Err("core matrix is not a whole number of rows");
         }
         if cores.iter().any(|c| !c.is_finite()) {
             return Err("non-finite core coordinate");
         }
-        if label_offsets.is_empty() || label_offsets[0] != 0 {
-            return Err("label offsets must start at 0");
-        }
-        if label_offsets.windows(2).any(|w| w[0] > w[1]) {
-            return Err("label offsets must be non-decreasing");
-        }
-        if *label_offsets.last().expect("non-empty checked above") != core_orig.len() {
-            return Err("label offsets must end at the core count");
-        }
-        Ok(Self {
-            eps,
-            dim,
-            cores,
-            core_orig,
-            label_offsets,
-        })
+        Ok(Self { eps, dim, cores })
     }
 
-    /// Does the point lie within `eps` of *any* core point? Equivalent to
-    /// `self.predict(point).is_some()` but returns at the first hit — the
-    /// per-flow monitor-path check, allocation-free.
+    /// Does the point lie within `eps` of any core point? Returns at the
+    /// first hit — the per-flow monitor-path check, allocation-free.
     pub fn matches(&self, point: &[f64]) -> bool {
         let eps_sq = self.eps * self.eps;
         (0..self.n_core_points()).any(|r| within_eps_sq(self.core_row(r), point, eps_sq))
@@ -742,44 +547,44 @@ mod tests {
             .collect()
     }
 
+    fn fit(eps: f64, min_pts: usize, points: &[Vec<f64>]) -> DbscanModel {
+        Dbscan { eps, min_pts }.fit_matrix(&FeatureMatrix::from_rows(points))
+    }
+
+    fn standardizer(points: &[Vec<f64>]) -> Option<Standardizer> {
+        Standardizer::fit_matrix(&FeatureMatrix::from_rows(points))
+    }
+
+    fn core_rows(model: &DbscanModel) -> Vec<Vec<f64>> {
+        (0..model.n_core_points())
+            .map(|r| model.core_row(r).to_vec())
+            .collect()
+    }
+
     #[test]
     fn two_blobs_two_clusters() {
         let mut pts = blob(0.0, 0.0, 50, 0.5, 3);
         pts.extend(blob(10.0, 10.0, 50, 0.5, 7));
-        let (labels, model) = Dbscan {
-            eps: 1.0,
-            min_pts: 4,
-        }
-        .fit(&pts);
-        assert_eq!(model.n_clusters(), 2);
-        // Points in the same blob share a label.
-        assert!(labels[..50].iter().all(|&l| l == labels[0] && l != NOISE));
-        assert!(labels[50..].iter().all(|&l| l == labels[50] && l != NOISE));
-        assert_ne!(labels[0], labels[50]);
+        let model = fit(1.0, 4, &pts);
+        // Every point of both blobs lies in a cluster; the gap between
+        // them does not.
+        assert!(pts.iter().all(|p| model.matches(p)));
+        assert!(!model.matches(&[5.0, 5.0]));
     }
 
     #[test]
     fn outlier_is_noise() {
         let mut pts = blob(0.0, 0.0, 40, 0.4, 11);
         pts.push(vec![100.0, -50.0]);
-        let (labels, _) = Dbscan {
-            eps: 1.0,
-            min_pts: 4,
-        }
-        .fit(&pts);
-        assert_eq!(*labels.last().unwrap(), NOISE);
+        let model = fit(1.0, 4, &pts);
+        assert!(!core_rows(&model).contains(&vec![100.0, -50.0]));
+        assert!(!model.matches(&[100.0, -50.0]));
     }
 
     #[test]
-    fn predict_assigns_near_and_rejects_far() {
+    fn matches_near_and_rejects_far() {
         let pts = blob(5.0, 5.0, 60, 0.5, 13);
-        let (_, model) = Dbscan {
-            eps: 1.0,
-            min_pts: 4,
-        }
-        .fit(&pts);
-        assert!(model.predict(&[5.1, 4.9]).is_some());
-        assert!(model.predict(&[50.0, 50.0]).is_none());
+        let model = fit(1.0, 4, &pts);
         assert!(model.matches(&[5.1, 4.9]));
         assert!(!model.matches(&[50.0, 50.0]));
     }
@@ -787,60 +592,53 @@ mod tests {
     #[test]
     fn min_pts_larger_than_data_all_noise() {
         let pts = blob(0.0, 0.0, 5, 0.2, 17);
-        let (labels, model) = Dbscan {
-            eps: 0.5,
-            min_pts: 10,
-        }
-        .fit(&pts);
-        assert!(labels.iter().all(|&l| l == NOISE));
-        assert_eq!(model.n_clusters(), 0);
+        let model = fit(0.5, 10, &pts);
         assert_eq!(model.n_core_points(), 0);
-        assert!(model.predict(&[0.0, 0.0]).is_none());
         assert!(!model.matches(&[0.0, 0.0]));
     }
 
     #[test]
     fn chain_is_density_connected() {
-        // A line of points spaced 0.5 apart with eps 0.6 forms one cluster.
+        // A line of points spaced 0.5 apart with eps 0.6: each interior
+        // point is a core point, and the two ends lie within eps of one.
         let pts: Vec<Vec<f64>> = (0..30).map(|i| vec![i as f64 * 0.5, 0.0]).collect();
-        let (labels, model) = Dbscan {
-            eps: 0.6,
-            min_pts: 3,
-        }
-        .fit(&pts);
-        assert_eq!(model.n_clusters(), 1);
-        assert!(labels.iter().all(|&l| l == 0));
+        let model = fit(0.6, 3, &pts);
+        assert_eq!(core_rows(&model), pts[1..29].to_vec());
+        assert!(pts.iter().all(|p| model.matches(p)));
+        assert!(!model.matches(&[15.2, 0.0]));
     }
 
     #[test]
     fn empty_input() {
-        let (labels, model) = Dbscan {
-            eps: 1.0,
-            min_pts: 3,
-        }
-        .fit(&[]);
-        assert!(labels.is_empty());
-        assert_eq!(model.n_clusters(), 0);
+        let model = fit(1.0, 3, &[]);
+        assert_eq!(model.n_core_points(), 0);
         assert!(!model.matches(&[]));
     }
 
     #[test]
     fn duplicate_points_cluster_together() {
         // 10 exact copies of one point + far noise: duplicates are mutual
-        // zero-distance neighbors, so they form one cluster.
+        // zero-distance neighbors, so each is a core point.
         let mut pts: Vec<Vec<f64>> = (0..10).map(|_| vec![1.0, 2.0, 3.0]).collect();
         pts.push(vec![500.0, 500.0, 500.0]);
-        let (labels, model) = Dbscan {
-            eps: 0.5,
-            min_pts: 4,
-        }
-        .fit(&pts);
-        assert_eq!(model.n_clusters(), 1);
-        assert!(labels[..10].iter().all(|&l| l == 0));
-        assert_eq!(labels[10], NOISE);
-        // Ten core copies, one stored row: the first, with its index.
-        assert_eq!(model.n_core_points(), 1);
-        assert_eq!(model.core_orig(), &[0]);
+        let model = fit(0.5, 4, &pts);
+        // Ten core copies, one stored row.
+        assert_eq!(core_rows(&model), vec![vec![1.0, 2.0, 3.0]]);
+        assert!(!model.matches(&[500.0, 500.0, 500.0]));
+    }
+
+    #[test]
+    fn copies_are_bitwise() {
+        // `-0.0 == 0.0`, but the two rows differ bitwise: both are kept.
+        let mut pts: Vec<Vec<f64>> = (0..3).map(|_| vec![0.0, 1.0]).collect();
+        pts.extend((0..3).map(|_| vec![-0.0, 1.0]));
+        let model = fit(0.5, 4, &pts);
+        let bits: Vec<u64> = model.cores().iter().map(|x| x.to_bits()).collect();
+        let want: Vec<u64> = [0.0, 1.0, -0.0, 1.0]
+            .iter()
+            .map(|x: &f64| x.to_bits())
+            .collect();
+        assert_eq!(bits, want);
     }
 
     #[test]
@@ -852,13 +650,10 @@ mod tests {
             vec![1.0, 1.0],
             vec![2.0, 2.0],
         ];
-        let (labels, model) = Dbscan {
-            eps: 0.0,
-            min_pts: 3,
-        }
-        .fit(&pts);
-        assert_eq!(labels, vec![0, 0, 0, NOISE]);
-        assert_eq!(model.n_clusters(), 1);
+        let model = fit(0.0, 3, &pts);
+        assert_eq!(core_rows(&model), vec![vec![1.0, 1.0]]);
+        assert!(model.matches(&[1.0, 1.0]));
+        assert!(!model.matches(&[2.0, 2.0]));
     }
 
     #[test]
@@ -881,7 +676,7 @@ mod tests {
     #[test]
     fn standardizer_zero_mean_unit_var() {
         let pts = vec![vec![10.0, 100.0], vec![20.0, 200.0], vec![30.0, 300.0]];
-        let s = Standardizer::fit(&pts).unwrap();
+        let s = standardizer(&pts).unwrap();
         let mut m = FeatureMatrix::from_rows(&pts);
         s.transform_matrix(&mut m);
         for d in 0..2 {
@@ -896,7 +691,7 @@ mod tests {
     #[test]
     fn standardizer_transform_into_matches_transform_matrix() {
         let pts = vec![vec![10.0, 100.0], vec![20.0, 200.0], vec![30.0, 300.0]];
-        let s = Standardizer::fit(&pts).unwrap();
+        let s = standardizer(&pts).unwrap();
         let mut scratch = Vec::new();
         s.transform_into(&[15.0, 150.0], &mut scratch);
         let mut m = FeatureMatrix::from_rows(&[vec![15.0, 150.0]]);
@@ -907,7 +702,7 @@ mod tests {
     #[test]
     fn standardizer_constant_feature() {
         let pts = vec![vec![5.0, 1.0], vec![5.0, 2.0], vec![5.0, 3.0]];
-        let s = Standardizer::fit(&pts).unwrap();
+        let s = standardizer(&pts).unwrap();
         let mut t = Vec::new();
         s.transform_into(&[5.0, 2.0], &mut t);
         assert_eq!(t[0], 0.0);
@@ -915,7 +710,7 @@ mod tests {
 
     #[test]
     fn standardizer_empty() {
-        assert!(Standardizer::fit(&[]).is_none());
+        assert!(standardizer(&[]).is_none());
         assert!(Standardizer::fit_matrix(&FeatureMatrix::new(4)).is_none());
     }
 
@@ -931,43 +726,37 @@ mod tests {
         let mut m = FeatureMatrix::from_rows(&pts);
         let s = Standardizer::fit_matrix(&m).unwrap();
         s.transform_matrix(&mut m);
-        let (_, model) = Dbscan {
+        let model = Dbscan {
             eps: 0.5,
             min_pts: 3,
         }
         .fit_matrix(&m);
-        assert_eq!(model.n_clusters(), 2);
+        // Two lines one standardized unit either side of the middle: every
+        // point is in a cluster, the middle is in none.
+        assert!(m.iter().all(|p| model.matches(p)));
+        let mut middle = Vec::new();
+        s.transform_into(&[0.1, 2500.0], &mut middle);
+        assert!(!model.matches(&middle));
     }
 
     #[test]
     fn model_parts_roundtrip_and_reject_corruption() {
         let pts = blob(0.0, 0.0, 40, 0.5, 21);
-        let (_, model) = Dbscan {
-            eps: 1.0,
-            min_pts: 4,
-        }
-        .fit(&pts);
-        let rebuilt = DbscanModel::from_parts(
-            model.eps(),
-            model.dim(),
-            model.cores().to_vec(),
-            model.core_orig().to_vec(),
-            model.label_offsets().to_vec(),
-        )
-        .unwrap();
+        let model = fit(1.0, 4, &pts);
+        let rebuilt =
+            DbscanModel::from_parts(model.eps(), model.dim(), model.cores().to_vec()).unwrap();
         for p in &pts {
-            assert_eq!(rebuilt.predict(p), model.predict(p));
             assert_eq!(rebuilt.matches(p), model.matches(p));
         }
         // Structural corruption is rejected, never panics.
-        assert!(DbscanModel::from_parts(f64::NAN, 2, vec![], vec![], vec![0]).is_err());
-        assert!(DbscanModel::from_parts(1.0, 2, vec![0.0], vec![0], vec![0, 1]).is_err());
-        assert!(DbscanModel::from_parts(1.0, 1, vec![0.0], vec![0], vec![1, 1]).is_err());
-        assert!(DbscanModel::from_parts(1.0, 1, vec![0.0], vec![0], vec![0, 2]).is_err());
-        assert!(DbscanModel::from_parts(1.0, 1, vec![f64::NAN], vec![0], vec![0, 1]).is_err());
-        assert!(DbscanModel::from_parts(1.0, 1, vec![0.0], vec![0], vec![]).is_err());
+        assert!(DbscanModel::from_parts(f64::NAN, 2, vec![]).is_err());
+        assert!(DbscanModel::from_parts(-1.0, 2, vec![]).is_err());
+        assert!(DbscanModel::from_parts(1.0, 2, vec![0.0]).is_err());
+        assert!(DbscanModel::from_parts(1.0, 0, vec![0.0]).is_err());
+        assert!(DbscanModel::from_parts(1.0, 1, vec![f64::NAN]).is_err());
+        assert!(DbscanModel::from_parts(1.0, 0, vec![]).is_ok());
 
-        let s = Standardizer::fit(&pts).unwrap();
+        let s = standardizer(&pts).unwrap();
         let (means, stds) = s.params();
         let s2 = Standardizer::from_params(means.to_vec(), stds.to_vec()).unwrap();
         let (mut a, mut b) = (Vec::new(), Vec::new());
@@ -980,24 +769,19 @@ mod tests {
     }
 
     #[test]
-    fn predict_tie_breaks_by_training_order() {
-        // Two isolated triples of duplicate points form two clusters whose
-        // core points are equidistant from the midpoint query; the old full
-        // scan returned the first (lowest training index) hit — cluster 0.
+    fn cores_keep_first_seen_training_order() {
+        // Two isolated triples of duplicate points interleaved: the model
+        // stores one row of each, in the order each value first appears.
         let pts = vec![
-            vec![0.0, 0.0],
-            vec![0.0, 0.0],
+            vec![10.0, 0.0],
             vec![0.0, 0.0],
             vec![10.0, 0.0],
-            vec![10.0, 0.0],
+            vec![0.0, 0.0],
+            vec![0.0, 0.0],
             vec![10.0, 0.0],
         ];
-        let (labels, model) = Dbscan {
-            eps: 6.0,
-            min_pts: 3,
-        }
-        .fit(&pts);
-        assert_eq!(labels, vec![0, 0, 0, 1, 1, 1]);
-        assert_eq!(model.predict(&[5.0, 0.0]), Some(0));
+        let model = fit(6.0, 3, &pts);
+        assert_eq!(core_rows(&model), vec![vec![10.0, 0.0], vec![0.0, 0.0]]);
+        assert!(model.matches(&[5.0, 0.0]));
     }
 }

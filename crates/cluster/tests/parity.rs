@@ -1,5 +1,5 @@
-//! Old-vs-new parity: the flat-matrix / grid-indexed clustering core must be
-//! **byte-identical** to the pre-rewrite implementation.
+//! Old-vs-new parity: the flat-matrix / grid-indexed clustering core must
+//! serve exactly as the pre-rewrite implementation did.
 //!
 //! The [`baseline`] module is a faithful vendored copy of the crate as it
 //! stood before the flat-matrix rewrite: `Vec<Vec<f64>>` points, O(n)
@@ -9,22 +9,23 @@
 //! coordinates to a coarse lattice), runs both implementations, and asserts:
 //!
 //! * standardizer parameters transform points to bitwise-equal values,
-//! * DBSCAN labels are exactly equal (same cluster ids, same noise),
-//! * cluster counts are equal, and the stored cores are the baseline's
-//!   cores with bitwise copies dropped: the set of distinct
-//!   `(label, row bits)` pairs is the baseline's, no label stores a row
-//!   twice, and each stored row carries the lowest training index among its
-//!   bitwise copies (the baseline keeps every copy),
-//! * `predict` returns the same label (including distance ties, which the
-//!   lattice snapping makes common) and `matches` agrees with
-//!   `predict(..).is_some()` for every training point and for off-training
-//!   probe points.
+//! * the stored cores are the baseline's core rows, in the baseline's
+//!   (training) order, minus later bitwise copies — the baseline keeps
+//!   every copy — every training point whose value is stored is one of
+//!   the baseline's core points, and the model is empty exactly when the
+//!   baseline finds no cluster,
+//! * `matches` agrees with the baseline's `predict(..).is_some()` for every
+//!   training point and for off-training probe points (distance ties,
+//!   which the lattice snapping makes common, included).
+//!
+//! The live model numbers no clusters, so cluster labels and the
+//! baseline's `predict` labels have nothing to be compared with.
 //!
 //! The whole comparison also runs inside `behaviot_par::par_map` under
 //! `Parallelism::Off` and `Parallelism::Fixed(2)` — the way `train_group`
 //! invokes this code — pinning that worker-thread context changes nothing.
 
-use behaviot_cluster::{Dbscan, FeatureMatrix, Standardizer, NOISE};
+use behaviot_cluster::{Dbscan, FeatureMatrix, Standardizer};
 use behaviot_par::{par_map, Parallelism};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
@@ -59,7 +60,7 @@ fn lattice_points(n: usize, dim: usize, seed: u64) -> Vec<Vec<f64>> {
         .collect()
 }
 
-/// Probe points for predict parity: every training point plus lattice
+/// Probe points for verdict parity: every training point plus lattice
 /// offsets around the data range (on-boundary, off-cluster, far away).
 fn probes(points: &[Vec<f64>], dim: usize) -> Vec<Vec<f64>> {
     let mut out: Vec<Vec<f64>> = points.to_vec();
@@ -74,8 +75,8 @@ fn probes(points: &[Vec<f64>], dim: usize) -> Vec<Vec<f64>> {
     out
 }
 
-/// Run the full second stage (standardize + DBSCAN fit + predict) through
-/// both implementations and assert byte-identical behavior.
+/// Run the full second stage (standardize + DBSCAN fit + verdicts) through
+/// both implementations and assert identical behavior.
 fn assert_parity(points: &[Vec<f64>], eps: f64, min_pts: usize) {
     // Baseline standardization.
     let old_std_points = match baseline::Standardizer::fit(points) {
@@ -108,9 +109,9 @@ fn bits(row: &[f64]) -> Vec<u64> {
 }
 
 /// Fit DBSCAN through both implementations — the baseline on `old_points`,
-/// the flat core on `new_points`, the same values — and assert equal labels,
-/// equal distinct cores and equal verdicts on every probe (the training
-/// points, the default lattice probes and `extra_probes`).
+/// the flat core on `new_points`, the same values — and assert equal
+/// distinct cores in training order and equal verdicts on every probe (the
+/// training points, the default lattice probes and `extra_probes`).
 fn assert_fit_parity(
     old_points: &[Vec<f64>],
     new_points: &FeatureMatrix,
@@ -119,69 +120,39 @@ fn assert_fit_parity(
     extra_probes: &[Vec<f64>],
 ) {
     let dim = new_points.dim();
-    let (old_labels, old_model) = baseline::Dbscan { eps, min_pts }.fit(old_points);
-    let (new_labels, new_model) = Dbscan { eps, min_pts }.fit_matrix(new_points);
+    let (_, old_model) = baseline::Dbscan { eps, min_pts }.fit(old_points);
+    let new_model = Dbscan { eps, min_pts }.fit_matrix(new_points);
 
-    // Labels byte-identical, structure equal.
+    // Stored cores: the baseline's core rows in its order, each value at
+    // its first copy only.
+    let mut seen: BTreeSet<Vec<u64>> = BTreeSet::new();
+    let want: Vec<Vec<u64>> = old_model
+        .cores()
+        .map(|(_, row)| bits(row))
+        .filter(|row| seen.insert(row.clone()))
+        .collect();
+    let got: Vec<Vec<u64>> = (0..new_model.n_core_points())
+        .map(|r| bits(&new_model.cores()[r * dim..(r + 1) * dim]))
+        .collect();
     assert_eq!(
-        new_labels, old_labels,
-        "labels diverged (eps={eps}, min_pts={min_pts})"
-    );
-    assert_eq!(new_model.n_clusters(), old_model.n_clusters());
-    assert_eq!(
-        new_labels.iter().filter(|&&l| l == NOISE).count(),
-        old_labels.iter().filter(|&&l| l == baseline::NOISE).count()
-    );
-
-    // Stored cores: the baseline's core set with bitwise copies dropped.
-    // Each stored row is the first training copy of its value, and no
-    // label holds a value twice.
-    let offsets = new_model.label_offsets();
-    let mut new_cores: BTreeSet<(i32, Vec<u64>)> = BTreeSet::new();
-    for label in 0..new_model.n_clusters() {
-        for r in offsets[label]..offsets[label + 1] {
-            let row = bits(&new_model.cores()[r * dim..(r + 1) * dim]);
-            let orig = new_model.core_orig()[r] as usize;
-            let first = (0..new_points.n_rows())
-                .find(|&i| bits(new_points.row(i)) == row)
-                .expect("a stored core row is a training row");
-            assert_eq!(
-                orig, first,
-                "label {label} keeps copy {orig}, not the first copy {first}"
-            );
-            assert_eq!(
-                new_labels[orig], label as i32,
-                "core {orig} filed under label {label}"
-            );
-            assert!(
-                new_cores.insert((label as i32, row)),
-                "label {label} stores the value of point {orig} twice"
-            );
-        }
-    }
-    let old_cores: BTreeSet<(i32, Vec<u64>)> =
-        old_model.cores().map(|(l, row)| (l, bits(row))).collect();
-    assert_eq!(
-        new_cores, old_cores,
+        got, want,
         "distinct cores diverged (eps={eps}, min_pts={min_pts})"
     );
     // Every core copy the baseline keeps is a training point whose value
-    // the model stores under its label.
+    // the model stores, and every cluster has a core point.
     let copies = (0..new_points.n_rows())
-        .filter(|&i| new_cores.contains(&(new_labels[i], bits(new_points.row(i)))))
+        .filter(|&i| seen.contains(&bits(new_points.row(i))))
         .count();
     assert_eq!(copies, old_model.n_core_points());
+    assert_eq!(new_model.n_core_points() == 0, old_model.n_clusters() == 0);
 
-    // Predict parity on training points and probes (standardized space).
+    // Verdict parity on training points and probes (standardized space).
     let mut probe_set = probes(old_points, dim);
     probe_set.extend_from_slice(extra_probes);
     for (k, p) in probe_set.iter().enumerate() {
-        let old = old_model.predict(p);
-        let new = new_model.predict(p);
-        assert_eq!(new, old, "predict diverged on probe {k}");
         assert_eq!(
             new_model.matches(p),
-            old.is_some(),
+            old_model.predict(p).is_some(),
             "matches diverged on probe {k}"
         );
     }
@@ -231,7 +202,7 @@ fn dist_sq(a: &[f64], b: &[f64]) -> f64 {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(160))]
 
-    /// New labels and predictions equal the vendored baseline across mixed
+    /// New cores and verdicts equal the vendored baseline across mixed
     /// dimensions, radii, and densities — and the comparison behaves
     /// identically when run from `behaviot-par` worker threads under
     /// `Parallelism::Off` and `Parallelism::Fixed(2)`, the two policies the
@@ -257,7 +228,7 @@ proptest! {
     }
 
     /// Dedicated duplicate-heavy generator: many exact copies, tiny eps —
-    /// the regime where zero distances, self-neighbors, and predict ties
+    /// the regime where zero distances, self-neighbors, and distance ties
     /// are the norm rather than the exception.
     #[test]
     fn duplicates_and_ties_match_baseline(
@@ -286,7 +257,7 @@ proptest! {
     /// copies each — the shape of a trained traffic group. Fitted unscaled
     /// (lattice coordinates keep every distance exact) at three radii:
     /// eps 0 (only copies are neighbors), a radius that keeps the closest
-    /// values apart yet reaches their midpoint (probed, so a predict tie
+    /// values apart yet reaches their midpoint (probed, so a distance tie
     /// across two clusters is exact), and one that merges every value into
     /// one cluster.
     #[test]
@@ -323,20 +294,21 @@ fn cross_cluster_tie_matches_baseline() {
     // clusters of one stored row each, tied exactly at the midpoint.
     let (points, _) = copies_shuffled(&[60, 60], 1, false, 99);
     let matrix = FeatureMatrix::from_rows(&points);
-    let (_, model) = Dbscan {
+    let model = Dbscan {
         eps: 0.75,
         min_pts: 4,
     }
     .fit_matrix(&matrix);
-    assert_eq!((model.n_clusters(), model.n_core_points()), (2, 2));
-    assert!(model.predict(&[0.5]).is_some());
+    assert_eq!(model.n_core_points(), 2);
+    assert!(model.matches(&[0.5]));
     assert_fit_parity(&points, &matrix, 0.75, 4, &[vec![0.5]]);
 }
 
 #[test]
 fn colinear_chain_matches_baseline() {
     // A pure line at lattice spacing, eps exactly the spacing: boundary
-    // distances are exact, so any index-order drift would flip labels.
+    // distances are exact, so a dropped or extra neighbor would flip a
+    // core point.
     for n in [0usize, 1, 2, 5, 30, 77] {
         let points: Vec<Vec<f64>> = (0..n).map(|i| vec![i as f64 * 0.25, 0.0]).collect();
         for min_pts in [1usize, 2, 3, 5] {

@@ -27,31 +27,22 @@ pub fn periodic_metric(elapsed: f64, period: f64) -> f64 {
 /// best-matching pattern. Gaps spanning `k` periods (missed observations
 /// up to `max_missed`) count from the nearest multiple.
 pub fn periodic_metric_multi(elapsed: f64, periods: &[f64], max_missed: u32) -> f64 {
-    periods
-        .iter()
-        .flat_map(|&t| {
-            (1..=max_missed.max(1)).map(move |k| {
-                // deviation relative to k-th multiple, but normalized by T
-                // (the paper normalizes by the period itself)
-                ((elapsed - k as f64 * t).abs() / t + 1.0).ln()
-            })
-        })
-        .fold(f64::INFINITY, f64::min)
+    periodic_metric_multi_explain(elapsed, periods, max_missed).0
 }
 
 /// [`periodic_metric_multi`] plus the best-matching period: returns
 /// `(score, period)` where `period` is the modeled period whose (possibly
 /// multiple-spanning) schedule the elapsed time matched best — the timer
-/// the audit ledger names as evidence. The score is computed over the same
-/// candidates in the same order, so it is bit-identical to
-/// [`periodic_metric_multi`]; ties keep the first-seen period. Empty
-/// period lists (which trained models never produce) return
-/// `(f64::INFINITY, 0.0)`.
+/// the audit ledger names as evidence. [`periodic_metric_multi`] is the
+/// score; ties keep the first-seen period. Empty period lists (which
+/// trained models never produce) return `(f64::INFINITY, 0.0)`.
 pub fn periodic_metric_multi_explain(elapsed: f64, periods: &[f64], max_missed: u32) -> (f64, f64) {
     let mut best = f64::INFINITY;
     let mut best_period = 0.0;
     for &t in periods {
         for k in 1..=max_missed.max(1) {
+            // deviation relative to k-th multiple, but normalized by T
+            // (the paper normalizes by the period itself)
             let score = ((elapsed - k as f64 * t).abs() / t + 1.0).ln();
             if score < best {
                 best = score;
@@ -268,11 +259,25 @@ mod tests {
     #[test]
     fn explain_matches_multi_and_names_the_period() {
         let periods = [60.0, 3600.0];
+        // Reference: the minimum over every (period, multiple) candidate
+        // as a plain fold, which the explained score must equal bit for
+        // bit.
+        let fold_min = |elapsed: f64, max_missed: u32| {
+            periods
+                .iter()
+                .flat_map(|&t| {
+                    (1..=max_missed.max(1))
+                        .map(move |k| ((elapsed - k as f64 * t).abs() / t + 1.0).ln())
+                })
+                .fold(f64::INFINITY, f64::min)
+        };
         for elapsed in [30.0, 60.0, 150.0, 3500.0, 9000.0] {
             for max_missed in [1u32, 2, 5] {
                 let (score, period) = periodic_metric_multi_explain(elapsed, &periods, max_missed);
-                let want = periodic_metric_multi(elapsed, &periods, max_missed);
+                let want = fold_min(elapsed, max_missed);
                 assert_eq!(score.to_bits(), want.to_bits(), "elapsed {elapsed}");
+                let multi = periodic_metric_multi(elapsed, &periods, max_missed);
+                assert_eq!(multi.to_bits(), want.to_bits(), "elapsed {elapsed}");
                 assert!(periods.contains(&period));
             }
         }

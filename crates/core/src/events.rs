@@ -229,12 +229,12 @@ impl BehavIoT {
             let kind = if let Some((activity, confidence)) = user_hit {
                 // Still advance the periodic timer for this group: the flow
                 // occupies the wire whatever we call it.
-                let _ = scratch.timers.classify(&self.periodic, f, false);
+                let _ = scratch.timers.classify(&self.periodic, f);
                 EventKind::User {
                     activity,
                     confidence,
                 }
-            } else if scratch.timers.classify(&self.periodic, f, false) {
+            } else if scratch.timers.classify(&self.periodic, f) {
                 EventKind::Periodic { destination, proto }
             } else {
                 EventKind::Aperiodic

@@ -27,7 +27,7 @@ use std::sync::OnceLock;
 /// per-group and per-flow paths look them up once.
 struct ClusterMetrics {
     fit_points: behaviot_obs::Histogram,
-    predict_cores: behaviot_obs::Histogram,
+    match_cores: behaviot_obs::Histogram,
 }
 
 fn cluster_metrics() -> &'static ClusterMetrics {
@@ -36,7 +36,9 @@ fn cluster_metrics() -> &'static ClusterMetrics {
         let r = behaviot_obs::metrics();
         ClusterMetrics {
             fit_points: r.histogram("cluster.fit"),
-            predict_cores: r.histogram("cluster.predict"),
+            // perfbench reports this histogram's count as
+            // `cluster.predict_calls`, so it keeps its name.
+            match_cores: r.histogram("cluster.predict"),
         }
     })
 }
@@ -130,7 +132,7 @@ impl PeriodicModel {
     pub fn cluster_matches_with(&self, features: &[f64], scratch: &mut Vec<f64>) -> bool {
         self.standardizer.transform_into(features, scratch);
         cluster_metrics()
-            .predict_cores
+            .match_cores
             .record(self.cluster.n_core_points() as u64);
         self.cluster.matches(scratch)
     }
@@ -273,19 +275,6 @@ impl PeriodicModelSet {
         self.models.get(&(key.0, key.2))?.get(&key.1)
     }
 
-    /// String-keyed variant of [`Self::get`] for callers holding a plain
-    /// destination name. Uses a non-inserting interner lookup, so querying
-    /// never-seen destinations does not grow the symbol table.
-    pub fn get_borrowed(
-        &self,
-        device: Ipv4Addr,
-        dest: &str,
-        proto: Proto,
-    ) -> Option<&PeriodicModel> {
-        let sym = Symbol::lookup(dest)?;
-        self.models.get(&(device, proto))?.get(&sym)
-    }
-
     /// Iterate over all models.
     pub fn iter(&self) -> impl Iterator<Item = &PeriodicModel> {
         self.models.values().flat_map(|by_dest| by_dest.values())
@@ -302,17 +291,6 @@ impl PeriodicModelSet {
             *out.entry(m.device).or_insert(0) += 1;
         }
         out
-    }
-
-    /// Classify a chronological sequence of flows: `true` entries are
-    /// periodic events. Timer state is kept per group across the call;
-    /// hold a [`PeriodicTimers`] for streaming use.
-    pub fn classify(&self, flows: &[FlowRecord]) -> Vec<bool> {
-        let mut timers = PeriodicTimers::new();
-        flows
-            .iter()
-            .map(|f| timers.classify(self, f, false))
-            .collect()
     }
 
     /// Training configuration (exposed for the ablation experiments).
@@ -380,7 +358,7 @@ fn train_group(
     }
     let standardizer = Standardizer::fit_matrix(&matrix).expect("non-empty group");
     standardizer.transform_matrix(&mut matrix);
-    let (_, cluster) = Dbscan {
+    let cluster = Dbscan {
         eps: cfg.dbscan_eps,
         min_pts: cfg.dbscan_min_pts,
     }
@@ -430,13 +408,8 @@ impl PeriodicTimers {
     }
 
     /// Classify one flow against `set` (flows must arrive in chronological
-    /// order). `timer_only` disables the DBSCAN second stage.
-    pub fn classify(
-        &mut self,
-        set: &PeriodicModelSet,
-        flow: &FlowRecord,
-        timer_only: bool,
-    ) -> bool {
+    /// order): the count-up timer first, then the DBSCAN second stage.
+    pub fn classify(&mut self, set: &PeriodicModelSet, flow: &FlowRecord) -> bool {
         let (dest, _) = flow.group_key();
         let shard = (flow.device, flow.proto);
         let Some(model) = set
@@ -460,13 +433,7 @@ impl PeriodicTimers {
             // yet; defer to the cluster check.
             None => false,
         };
-        if timer_hit {
-            return true;
-        }
-        if timer_only {
-            return false;
-        }
-        model.cluster_matches_with(&flow.features, &mut self.scratch)
+        timer_hit || model.cluster_matches_with(&flow.features, &mut self.scratch)
     }
 }
 
@@ -502,6 +469,12 @@ mod tests {
             .collect()
     }
 
+    /// Classify a chronological run of flows with fresh timers.
+    fn classify_all(set: &PeriodicModelSet, flows: &[FlowRecord]) -> Vec<bool> {
+        let mut timers = PeriodicTimers::new();
+        flows.iter().map(|f| timers.classify(set, f)).collect()
+    }
+
     #[test]
     fn trains_model_for_periodic_group() {
         let flows = periodic_flows(10, "devs.cloud.com", 120.0, 400);
@@ -532,7 +505,7 @@ mod tests {
         let train = periodic_flows(10, "d.com", 100.0, 400);
         let set = PeriodicModelSet::train(&train, &PeriodicTrainConfig::default());
         let test = periodic_flows(10, "d.com", 100.0, 20);
-        let labels = set.classify(&test);
+        let labels = classify_all(&set, &test);
         // All but possibly the very first (no timer reference, but cluster
         // catches it) must be periodic.
         assert!(labels.iter().filter(|&&b| b).count() >= 19);
@@ -548,12 +521,12 @@ mod tests {
             flow(10, "d.com", 50.0, 150.0),
             flow(10, "d.com", 95.0, 150.0),
         ];
-        let labels = set.classify(&odd);
+        let labels = classify_all(&set, &odd);
         assert!(labels[1], "cluster stage should catch off-timer flow");
-        // Timer-only ablation misses it.
-        let mut timers = PeriodicTimers::new();
-        assert!(!timers.classify(&set, &odd[0], true));
-        assert!(!timers.classify(&set, &odd[1], true));
+        // The timer alone misses it: 45 s is no multiple of the period.
+        let key = (odd[1].device, Symbol::intern("d.com"), Proto::Tcp);
+        let model = set.get(&key).unwrap();
+        assert!(!model.timer_matches(odd[1].start - odd[0].start, set.config()));
     }
 
     #[test]
@@ -561,10 +534,10 @@ mod tests {
         let train = periodic_flows(10, "d.com", 100.0, 400);
         let set = PeriodicModelSet::train(&train, &PeriodicTrainConfig::default());
         let other = vec![flow(10, "other.com", 100.0, 150.0)];
-        assert_eq!(set.classify(&other), vec![false]);
+        assert_eq!(classify_all(&set, &other), vec![false]);
         // Same destination, different device: separate group.
         let other_dev = vec![flow(11, "d.com", 100.0, 150.0)];
-        assert_eq!(set.classify(&other_dev), vec![false]);
+        assert_eq!(classify_all(&set, &other_dev), vec![false]);
     }
 
     #[test]
@@ -576,7 +549,7 @@ mod tests {
             flow(10, "d.com", 42.0, 150.0),
             flow(10, "d.com", 77.0, 2000.0),
         ];
-        let labels = set.classify(&user);
+        let labels = classify_all(&set, &user);
         assert!(!labels[1]);
     }
 
@@ -641,14 +614,14 @@ mod tests {
                 assert_eq!(pm.n_train, m.n_train);
             }
             // Classification behavior must match exactly too.
-            let labels_s = serial.classify(&flows);
-            let labels_p = p.classify(&flows);
+            let labels_s = classify_all(&serial, &flows);
+            let labels_p = classify_all(&p, &flows);
             assert_eq!(labels_s, labels_p);
         }
     }
 
     #[test]
-    fn borrowed_lookup_matches_owned() {
+    fn get_finds_only_the_trained_group() {
         let flows = periodic_flows(10, "devs.cloud.com", 120.0, 400);
         let set = PeriodicModelSet::train(&flows, &PeriodicTrainConfig::default());
         let key = (
@@ -658,9 +631,9 @@ mod tests {
         );
         assert!(set.get(&key).is_some());
         assert!(set
-            .get_borrowed(key.0, "devs.cloud.com", Proto::Tcp)
-            .is_some());
-        assert!(set.get_borrowed(key.0, "other.com", Proto::Tcp).is_none());
+            .get(&(key.0, Symbol::intern("other.com"), Proto::Tcp))
+            .is_none());
+        assert!(set.get(&(key.0, key.1, Proto::Udp)).is_none());
     }
 
     #[test]
@@ -673,7 +646,7 @@ mod tests {
         }
         let set = PeriodicModelSet::train(&flows, &PeriodicTrainConfig::default());
         assert_eq!(set.len(), 1);
-        let labels = set.classify(&flows);
+        let labels = classify_all(&set, &flows);
         assert!(labels.iter().filter(|&&b| b).count() >= flows.len() - 1);
     }
 }

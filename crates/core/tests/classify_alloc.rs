@@ -109,10 +109,7 @@ fn classify_is_allocation_free_after_warmup() {
 
     // Warm-up: first round inserts timer-table keys, grows the cluster
     // scratch, and registers metric handles.
-    let expected: Vec<bool> = rounds[0]
-        .iter()
-        .map(|f| timers.classify(&set, f, false))
-        .collect();
+    let expected: Vec<bool> = rounds[0].iter().map(|f| timers.classify(&set, f)).collect();
     assert!(
         expected.iter().any(|&b| b) && expected.iter().any(|&b| !b),
         "warm-up round must exercise both outcomes: {expected:?}"
@@ -123,7 +120,7 @@ fn classify_is_allocation_free_after_warmup() {
     for (r, round) in rounds.iter().enumerate().skip(1) {
         for (i, f) in round.iter().enumerate() {
             let before = alloc_count();
-            let got = timers.classify(&set, f, false);
+            let got = timers.classify(&set, f);
             let after = alloc_count();
             assert_eq!(
                 after - before,

@@ -217,15 +217,8 @@ pub(crate) fn render_periodic_device(
         ));
         let c = m.cluster();
         out.push_str(&format!("cluster|{}|{}\n", ff(artifact, c.eps())?, c.dim()));
-        let offsets: Vec<String> = c.label_offsets().iter().map(ToString::to_string).collect();
-        out.push_str(&format!("offsets|{}\n", offsets.join("|")));
-        let dim = c.dim();
-        for (i, &orig) in c.core_orig().iter().enumerate() {
-            let row = &c.cores()[i * dim..(i + 1) * dim];
-            out.push_str(&format!(
-                "core|{orig}|{}\n",
-                render_f64_list(artifact, row)?
-            ));
+        for row in c.cores().chunks_exact(c.dim()) {
+            out.push_str(&format!("core|{}\n", render_f64_list(artifact, row)?));
         }
     }
     Ok(out)
@@ -240,24 +233,14 @@ struct PendingPeriodic {
     periods: Option<Vec<f64>>,
     std: Option<(Vec<f64>, Vec<f64>)>,
     cluster: Option<(f64, usize)>,
-    offsets: Option<Vec<usize>>,
     /// The flat core matrix, `N_FEATURES` values per `core|` row.
     cores: Vec<f64>,
-    core_orig: Vec<u32>,
 }
 
 impl PendingPeriodic {
     /// Append one `core|` row's coordinates to the flat core matrix,
     /// refusing a row that is not `N_FEATURES` wide.
-    fn push_core(
-        &mut self,
-        artifact: &str,
-        line: usize,
-        orig: &str,
-        row: &str,
-    ) -> Result<(), StoreError> {
-        self.core_orig
-            .push(pu32(artifact, line, orig, "core origin")?);
+    fn push_core(&mut self, artifact: &str, line: usize, row: &str) -> Result<(), StoreError> {
         let start = self.cores.len();
         if !row.is_empty() {
             for v in row.split(',') {
@@ -279,10 +262,8 @@ impl PendingPeriodic {
         if dim != N_FEATURES {
             return Err(err("cluster dimension is not the flow feature count"));
         }
-        let offsets = self.offsets.ok_or_else(|| err("missing offsets line"))?;
         let standardizer = Standardizer::from_params(means, stds).map_err(err)?;
-        let cluster =
-            DbscanModel::from_parts(eps, dim, self.cores, self.core_orig, offsets).map_err(err)?;
+        let cluster = DbscanModel::from_parts(eps, dim, self.cores).map_err(err)?;
         PeriodicModel::from_parts(
             device,
             self.dest,
@@ -330,12 +311,10 @@ pub(crate) fn parse_periodic_device(
                     periods: None,
                     std: None,
                     cluster: None,
-                    offsets: None,
                     cores: Vec::new(),
-                    core_orig: Vec::new(),
                 });
             }
-            kind @ ("periods" | "std" | "cluster" | "offsets" | "core") => {
+            kind @ ("periods" | "std" | "cluster" | "core") => {
                 let p = pending
                     .as_mut()
                     .ok_or_else(|| bad(artifact, ln, "record before model line"))?;
@@ -362,18 +341,10 @@ pub(crate) fn parse_periodic_device(
                         p.cluster =
                             Some((pf(artifact, ln, eps, "eps")?, pu(artifact, ln, dim, "dim")?));
                     }
-                    "offsets" => {
-                        let vals: Result<Vec<usize>, StoreError> = line
-                            .split('|')
-                            .skip(1)
-                            .map(|s| pu(artifact, ln, s, "offset"))
-                            .collect();
-                        p.offsets = Some(vals?);
-                    }
                     _ => {
-                        let [_, orig, row] = split_exact(line, '|')
+                        let [_, row] = split_exact(line, '|')
                             .ok_or_else(|| bad(artifact, ln, "bad core line"))?;
-                        p.push_core(artifact, ln, orig, row)?;
+                        p.push_core(artifact, ln, row)?;
                     }
                 }
             }

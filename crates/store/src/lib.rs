@@ -53,8 +53,10 @@ use std::path::{Path, PathBuf};
 
 /// The snapshot format version, the only one this build reads or writes.
 /// Its manifest pins every artifact's byte length and content hash, so any
-/// single-byte corruption is detected before parsing.
-pub const FORMAT_VERSION: u32 = 2;
+/// single-byte corruption is detected before parsing. In v3 a periodic
+/// model's cluster is its core rows alone: `cluster|eps|dim` and one
+/// `core|<row>` line per row.
+pub const FORMAT_VERSION: u32 = 3;
 
 const MANIFEST_FILE: &str = "MANIFEST";
 const MANIFEST_MAGIC: &str = "behaviot-store";

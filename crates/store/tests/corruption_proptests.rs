@@ -46,14 +46,7 @@ fn fixture() -> (BehavIoT, SystemModel) {
     let dim = N_FEATURES;
     let mk_periodic = |ip: Ipv4Addr, dest: &str, n_cores: usize| {
         let std = Standardizer::from_params(vec![0.5; dim], vec![1.25; dim]).unwrap();
-        let cluster = DbscanModel::from_parts(
-            0.75,
-            dim,
-            vec![1.5; n_cores * dim],
-            (0..n_cores as u32).collect(),
-            vec![0, n_cores],
-        )
-        .unwrap();
+        let cluster = DbscanModel::from_parts(0.75, dim, vec![1.5; n_cores * dim]).unwrap();
         PeriodicModel::from_parts(
             ip,
             Symbol::intern(dest),
@@ -350,11 +343,11 @@ fn degenerate_manifests_error() {
     fs::remove_dir_all(&dir).unwrap();
 }
 
-/// Any format version other than the current one — the retired v1 or a
-/// future one — is refused up front.
+/// Any format version other than the current one — the retired v1 and v2
+/// or a future one — is refused up front.
 #[test]
 fn future_version_refused() {
-    for version in [99, 1] {
+    for version in [99, 1, 2] {
         let (models, system) = fixture();
         let dir = temp_dir();
         let store = ModelStore::open(&dir).unwrap();
@@ -362,10 +355,11 @@ fn future_version_refused() {
 
         let manifest = fs::read_to_string(dir.join("MANIFEST")).unwrap();
         let bumped = manifest.replacen(
-            "behaviot-store|v2",
+            "behaviot-store|v3",
             &format!("behaviot-store|v{version}"),
             1,
         );
+        assert_ne!(bumped, manifest, "the manifest declares v3");
         fs::write(dir.join("MANIFEST"), bumped).unwrap();
         assert_eq!(
             store.load().map(|_| ()).unwrap_err(),

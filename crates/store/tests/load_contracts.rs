@@ -1,10 +1,13 @@
 //! What `ModelStore::load` accepts, and how what it accepts serves:
 //!
-//! * A `periodic@` artifact whose `core|` rows repeat bitwise copies — the
-//!   form snapshots had before `Dbscan::fit_matrix` kept each distinct core
-//!   value once per cluster — loads unchanged. Its models predict and match
-//!   exactly like the deduplicated model on every probe, and saving the
-//!   loaded set gives back the same bytes, because a load never rewrites.
+//! * A `periodic@` artifact whose `core|` rows repeat bitwise copies — what
+//!   a fit that kept every core point, not each distinct core value once,
+//!   would write — loads unchanged. Its models match exactly like the
+//!   deduplicated model on every probe, and saving the loaded set gives
+//!   back the same bytes, because a load never rewrites.
+//! * A v3 `periodic@` artifact carrying a v2 record — an `offsets|` line,
+//!   or a `core|` line with a training index before its row — is a
+//!   `StoreError::BadRecord`.
 //! * A model whose feature width is not `N_FEATURES` — a periodic model
 //!   with 20-wide `cluster|`/`std|`/`core|` rows, a forest with
 //!   `tree|20|…` — is a `StoreError::BadRecord`: accepted, it would load
@@ -112,27 +115,19 @@ fn training_points() -> Vec<Vec<f64>> {
     points
 }
 
-/// The model as the fit wrote it before copies were dropped: every core
-/// training point, label by label in training order. A training point is
-/// a core point exactly when its value is stored under its label, since
-/// bitwise copies share one neighborhood.
-fn with_every_copy(model: &DbscanModel, labels: &[i32], points: &FeatureMatrix) -> DbscanModel {
+/// The model with every core training point, in training order, not each
+/// distinct core value once. A training point is a core point exactly when
+/// its value is stored, since bitwise copies share one neighborhood.
+fn with_every_copy(model: &DbscanModel, points: &FeatureMatrix) -> DbscanModel {
     let dim = model.dim();
-    let offsets = model.label_offsets();
-    let (mut cores, mut core_orig, mut label_offsets) = (Vec::new(), Vec::new(), vec![0]);
-    for label in 0..model.n_clusters() {
-        let stored: Vec<Vec<u64>> = (offsets[label]..offsets[label + 1])
-            .map(|r| bits(&model.cores()[r * dim..(r + 1) * dim]))
-            .collect();
-        for (i, &l) in labels.iter().enumerate() {
-            if l == label as i32 && stored.contains(&bits(points.row(i))) {
-                cores.extend_from_slice(points.row(i));
-                core_orig.push(i as u32);
-            }
+    let stored: Vec<Vec<u64>> = model.cores().chunks_exact(dim).map(bits).collect();
+    let mut cores = Vec::new();
+    for row in points.iter() {
+        if stored.contains(&bits(row)) {
+            cores.extend_from_slice(row);
         }
-        label_offsets.push(core_orig.len());
     }
-    DbscanModel::from_parts(model.eps(), dim, cores, core_orig, label_offsets).unwrap()
+    DbscanModel::from_parts(model.eps(), dim, cores).unwrap()
 }
 
 #[test]
@@ -141,12 +136,12 @@ fn snapshot_with_duplicate_cores_serves_like_its_deduplicated_form() {
     let standardizer = Standardizer::fit_matrix(&points).unwrap();
     let mut scaled = points.clone();
     standardizer.transform_matrix(&mut scaled);
-    let (labels, deduplicated) = Dbscan {
+    let deduplicated = Dbscan {
         eps: 0.5,
         min_pts: 4,
     }
     .fit_matrix(&scaled);
-    let copies = with_every_copy(&deduplicated, &labels, &scaled);
+    let copies = with_every_copy(&deduplicated, &scaled);
     assert_eq!(deduplicated.n_core_points(), 3, "three values are core");
     assert_eq!(copies.n_core_points(), 40 + 17 + 25);
 
@@ -194,18 +189,13 @@ fn snapshot_with_duplicate_cores_serves_like_its_deduplicated_form() {
     probes.push(vec![-0.0; N_FEATURES]);
     let mut hits = 0;
     for (k, p) in probes.iter().enumerate() {
-        let want = deduplicated.predict(p);
-        assert_eq!(
-            model.cluster().predict(p),
-            want,
-            "predict diverged on probe {k}"
-        );
+        let want = deduplicated.matches(p);
         assert_eq!(
             model.cluster().matches(p),
-            want.is_some(),
+            want,
             "matches diverged on probe {k}"
         );
-        hits += usize::from(want.is_some());
+        hits += usize::from(want);
     }
     assert!(hits > scaled.n_rows(), "probes must reach the clusters");
 
@@ -275,13 +265,33 @@ fn narrow_periodic(artifact: &str) -> String {
         let narrowed = match fields[0] {
             "std" => format!("std|{}|{}", drop_last(fields[1]), drop_last(fields[2])),
             "cluster" => format!("cluster|{}|{}", fields[1], N_FEATURES - 1),
-            "core" => format!("core|{}|{}", fields[1], drop_last(fields[2])),
+            "core" => format!("core|{}", drop_last(fields[1])),
             _ => line.to_string(),
         };
         out.push_str(&narrowed);
         out.push('\n');
     }
     out
+}
+
+/// The `periodic@` artifact with a v2 `offsets|` line after each
+/// `cluster|` line.
+fn with_offsets_line(artifact: &str) -> String {
+    let mut out = String::new();
+    for line in artifact.lines() {
+        out.push_str(line);
+        out.push('\n');
+        if line.starts_with("cluster|") {
+            out.push_str("offsets|0|1\n");
+        }
+    }
+    out
+}
+
+/// The `periodic@` artifact with each `core|` row led by a v2 training
+/// index.
+fn with_core_origin(artifact: &str) -> String {
+    artifact.replace("\ncore|", "\ncore|0|")
 }
 
 /// The `user@` artifact's trees, declared one feature narrower.
@@ -307,7 +317,7 @@ fn assert_bad_record(models: &BehavIoT, prefix: &str, narrow: fn(&str) -> String
 
 fn periodic_of_width(dim: usize) -> PeriodicModel {
     let standardizer = Standardizer::from_params(vec![0.0; dim], vec![1.0; dim]).unwrap();
-    let cluster = DbscanModel::from_parts(0.5, dim, vec![0.25; dim], vec![0], vec![0, 1]).unwrap();
+    let cluster = DbscanModel::from_parts(0.5, dim, vec![0.25; dim]).unwrap();
     periodic_model("hb.cloud.com", standardizer, cluster)
 }
 
@@ -338,6 +348,16 @@ fn periodic_model_of_wrong_width_is_a_bad_record() {
         UserActionModels::from_parts(vec![], 0.9).unwrap(),
     );
     assert_bad_record(&models, "periodic@", narrow_periodic);
+}
+
+#[test]
+fn v2_periodic_records_are_bad_records() {
+    let models = models_of(
+        vec![periodic_of_width(N_FEATURES)],
+        UserActionModels::from_parts(vec![], 0.9).unwrap(),
+    );
+    assert_bad_record(&models, "periodic@", with_offsets_line);
+    assert_bad_record(&models, "periodic@", with_core_origin);
 }
 
 #[test]

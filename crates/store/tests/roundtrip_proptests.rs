@@ -90,9 +90,7 @@ fn periodic_model(
     )
     .unwrap();
     let cores: Vec<f64> = (0..n_cores * dim).map(|i| finite(s(i + 7))).collect();
-    let core_orig: Vec<u32> = (0..n_cores as u32).collect();
-    let cluster =
-        DbscanModel::from_parts(positive(s(3)), dim, cores, core_orig, vec![0, n_cores]).unwrap();
+    let cluster = DbscanModel::from_parts(positive(s(3)), dim, cores).unwrap();
     let periods: Vec<f64> = (0..1 + seeds.len() % 3)
         .map(|i| positive(s(i + 11)))
         .collect();

@@ -2,11 +2,12 @@
 # Repo verification gate: rustfmt (the tree must be `cargo fmt`-clean),
 # build, full test suite, the parallel-determinism contract under an
 # explicit thread count and under `off`, the allocation contracts, the
-# PFSM inference digest, the fleet-health store smokes (distinct core
-# rows, refusal of a corrupt store, continuation), clippy with warnings
-# denied on every workspace crate, rustdoc with warnings denied (dangling
-# doc links fail), and the parity references the rewritten DSP and
-# clustering cores are checked against.
+# PFSM inference digest, the fleet-health argument and store smokes
+# (refusal of a misspelt flag, distinct core rows, refusal of a corrupt
+# store, continuation), clippy with warnings denied on every workspace
+# crate, rustdoc with warnings denied (dangling doc links fail), and the
+# parity references the rewritten DSP and clustering cores are checked
+# against.
 #
 # Usage: scripts/verify.sh
 set -euo pipefail
@@ -110,6 +111,26 @@ assert not bare, f"metrics missing stage prefixes: {sorted(bare)}"
 print(f"trace smoke: {len(spans)} span names, {len(metrics)} metrics ok")
 EOF
 
+echo "==> argument smoke: fleet-health refuses a misspelt flag before any work"
+status=0
+cargo run --release -q -p behaviot-bench --bin fleet-health -- \
+  --quick --stor "$obs_tmp/misspelt" > "$obs_tmp/misspelt.txt" 2> "$obs_tmp/misspelt.err" || status=$?
+[ "$status" -eq 2 ] || {
+  echo "fleet-health --stor exited $status, not 2:"
+  cat "$obs_tmp/misspelt.err"
+  exit 1
+}
+grep -q 'unknown argument "--stor"' "$obs_tmp/misspelt.err" || {
+  echo "fleet-health --stor did not name the unknown argument:"
+  cat "$obs_tmp/misspelt.err"
+  exit 1
+}
+[ ! -e "$obs_tmp/misspelt" ] || {
+  echo "fleet-health --stor created $obs_tmp/misspelt"
+  exit 1
+}
+echo "argument smoke: --stor refused with exit 2, nothing created"
+
 echo "==> health smoke: fleet-health replay with ledger + OpenMetrics artifacts, saved to a store"
 cargo run --release -q -p behaviot-bench --bin fleet-health -- \
   --quick --days 6 --threads 2 --store "$obs_tmp/store" \
@@ -192,7 +213,7 @@ for path in files:
             values = set()
         elif line.startswith("core|"):
             rows += 1
-            value = line.rstrip("\n").split("|", 2)[2]
+            value = line.rstrip("\n").split("|", 1)[1]
             assert value not in values, f"{os.path.basename(path)}:{n}: core row repeats a value of its model"
             values.add(value)
 print(f"store lint: {len(files)} periodic@ artifacts, {models} models, {rows} distinct core rows ok")

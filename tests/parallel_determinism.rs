@@ -88,7 +88,7 @@ fn pipeline_output_identical_to_serial() {
         for model in reference.periodic.iter() {
             let got = models
                 .periodic
-                .get_borrowed(model.device, model.destination.as_str(), model.proto)
+                .get(&(model.device, model.destination, model.proto))
                 .unwrap_or_else(|| {
                     panic!(
                         "periodic model for {}/{} missing under {par}",
@@ -132,7 +132,7 @@ fn periodic_training_identical_to_serial() {
         );
         for model in reference.iter() {
             let g = got
-                .get_borrowed(model.device, model.destination.as_str(), model.proto)
+                .get(&(model.device, model.destination, model.proto))
                 .expect("missing group");
             assert_eq!(
                 g.periods, model.periods,

@@ -460,9 +460,8 @@ fn trained_snapshot_stores_each_core_value_once() {
             if line.starts_with("model|") {
                 models += 1;
                 values.clear();
-            } else if let Some(core) = line.strip_prefix("core|") {
+            } else if let Some(value) = line.strip_prefix("core|") {
                 rows += 1;
-                let (_, value) = core.split_once('|').unwrap();
                 assert!(
                     values.insert(value),
                     "{name}:{}: a core row repeats a value of its model",
