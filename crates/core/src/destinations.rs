@@ -3,7 +3,6 @@
 
 use crate::event::InferredEvent;
 use behaviot_intern::{FxHashMap, FxHashSet, Symbol};
-use std::collections::HashSet;
 use std::net::Ipv4Addr;
 
 /// Destination party, as in Table 5. The caller supplies the mapping
@@ -108,7 +107,7 @@ impl PartyTable {
             .counts
             .keys()
             .map(|(_, c, _)| c.as_str().to_string())
-            .collect::<HashSet<_>>()
+            .collect::<FxHashSet<_>>()
             .into_iter()
             .collect();
         v.sort();

@@ -6,7 +6,7 @@ use crate::event::{EventKind, InferredEvent};
 use crate::periodic::{PeriodicModelSet, PeriodicTimers, PeriodicTrainConfig};
 use crate::user_action::{TrainingSample, UserActionModels, UserActionTrainConfig};
 use behaviot_flows::FlowRecord;
-use behaviot_intern::Symbol;
+use behaviot_intern::{FxHashMap, Symbol};
 use behaviot_par::{par_map, Parallelism};
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
@@ -95,7 +95,7 @@ impl BehavIoT {
         // negatives, evenly subsampled per device.
         let mut samples = data.user_samples.clone();
         if cfg.idle_negatives_per_device > 0 {
-            let mut per_device: HashMap<Ipv4Addr, Vec<&FlowRecord>> = HashMap::new();
+            let mut per_device: FxHashMap<Ipv4Addr, Vec<&FlowRecord>> = FxHashMap::default();
             for f in &data.idle_flows {
                 per_device.entry(f.device).or_default().push(f);
             }

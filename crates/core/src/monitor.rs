@@ -388,12 +388,13 @@ impl Monitor {
         let st_threshold = system.short_term_threshold(cfg.short_sigma);
         let lt_crit = long_term_threshold(cfg.long_confidence);
         // Every device the monitor can say anything about: named devices
-        // plus devices with periodic models.
-        let device_syms: FxHashMap<Ipv4Addr, Symbol> = models
-            .names
-            .keys()
-            .chain(&devices)
-            .map(|&ip| (ip, device_sym(&models.names, ip)))
+        // plus devices with periodic models, interned in address order
+        // rather than the name map's per-process hash order.
+        let mut ips: Vec<Ipv4Addr> = models.names.keys().chain(&devices).copied().collect();
+        ips.sort_unstable();
+        let device_syms: FxHashMap<Ipv4Addr, Symbol> = ips
+            .into_iter()
+            .map(|ip| (ip, device_sym(&models.names, ip)))
             .collect();
         Self {
             models,

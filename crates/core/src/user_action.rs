@@ -13,7 +13,6 @@
 use behaviot_flows::{FeatureVector, N_FEATURES};
 use behaviot_forest::{RandomForest, RandomForestConfig};
 use behaviot_intern::{FxHashMap, Symbol};
-use std::collections::HashMap;
 use std::net::Ipv4Addr;
 use std::sync::OnceLock;
 
@@ -76,7 +75,7 @@ pub struct UserActionModels {
 impl UserActionModels {
     /// Train from labeled samples.
     pub fn train(samples: &[TrainingSample], cfg: &UserActionTrainConfig) -> Self {
-        let mut per_device: HashMap<Ipv4Addr, Vec<&TrainingSample>> = HashMap::new();
+        let mut per_device: FxHashMap<Ipv4Addr, Vec<&TrainingSample>> = FxHashMap::default();
         for s in samples {
             per_device.entry(s.device).or_default().push(s);
         }

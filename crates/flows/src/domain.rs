@@ -11,7 +11,7 @@
 //! and copied exactly once, and annotation/grouping afterwards is a 4-byte
 //! copy instead of a `String` clone.
 
-use behaviot_intern::{FxHashMap, Symbol};
+use behaviot_intern::{FxHashMap, FxHashSet, Symbol};
 use std::net::Ipv4Addr;
 
 /// Accumulates `IP → domain` knowledge while a capture is processed.
@@ -73,7 +73,7 @@ impl DomainTable {
 
     /// Number of addresses with any mapping.
     pub fn len(&self) -> usize {
-        let mut keys: std::collections::HashSet<&Ipv4Addr> = self.dns.keys().collect();
+        let mut keys: FxHashSet<&Ipv4Addr> = self.dns.keys().collect();
         keys.extend(self.sni.keys());
         keys.extend(self.rdns.keys());
         keys.len()

@@ -7,10 +7,10 @@
 //! speakers carry the most periodic models; Echo Show 5 has the maximum).
 
 use crate::types::{ActivitySpec, Category, DeviceSpec, PacketPattern, Party, PeriodicSpec};
+use behaviot_intern::FxHashMap;
 use behaviot_net::Proto;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
 /// Number of devices in the testbed.
@@ -21,9 +21,9 @@ pub const N_DEVICES: usize = 49;
 pub struct Catalog {
     /// All device specifications.
     pub devices: Vec<DeviceSpec>,
-    domain_ip: HashMap<String, Ipv4Addr>,
-    domain_party: HashMap<String, Party>,
-    domain_essential: HashMap<String, bool>,
+    domain_ip: FxHashMap<String, Ipv4Addr>,
+    domain_party: FxHashMap<String, Party>,
+    domain_essential: FxHashMap<String, bool>,
     /// LAN subnet of the testbed.
     pub subnet: Ipv4Addr,
     /// LAN prefix length.
@@ -169,9 +169,9 @@ impl Catalog {
         let mut rng = StdRng::seed_from_u64(0xBE4A_0701);
         let mut cat = Catalog {
             devices: Vec::with_capacity(N_DEVICES),
-            domain_ip: HashMap::new(),
-            domain_party: HashMap::new(),
-            domain_essential: HashMap::new(),
+            domain_ip: FxHashMap::default(),
+            domain_party: FxHashMap::default(),
+            domain_essential: FxHashMap::default(),
             subnet: Ipv4Addr::new(192, 168, 0, 0),
             prefix_len: 16,
         };
@@ -554,12 +554,17 @@ impl Catalog {
         self.domain_essential.get(domain).copied()
     }
 
-    /// All `(ip, domain)` pairs, for preloading the reverse-DNS table.
+    /// All `(ip, domain)` pairs, for preloading the reverse-DNS table,
+    /// sorted by address: a table preloaded from them interns its domains
+    /// in the same order in every process.
     pub fn rdns_entries(&self) -> Vec<(Ipv4Addr, String)> {
-        self.domain_ip
+        let mut entries: Vec<(Ipv4Addr, String)> = self
+            .domain_ip
             .iter()
             .map(|(d, &ip)| (ip, d.clone()))
-            .collect()
+            .collect();
+        entries.sort_unstable();
+        entries
     }
 
     /// Indices of the routine-dataset devices (Table 6).
@@ -668,6 +673,9 @@ mod tests {
         let entries = c.rdns_entries();
         let ips: std::collections::HashSet<_> = entries.iter().map(|(ip, _)| ip).collect();
         assert_eq!(ips.len(), entries.len(), "IP collision in endpoint map");
+        // Address order, whatever the map's hash order: every process
+        // preloads (and so interns) the domains in the same sequence.
+        assert!(entries.windows(2).all(|w| w[0].0 < w[1].0));
         for d in &c.devices {
             for p in &d.periodic {
                 assert_eq!(c.party_of(&p.domain), Some(p.party));

@@ -10,7 +10,7 @@
 use crate::catalog::Catalog;
 use crate::types::{PacketPattern, TruthEvent, TruthLabel};
 use behaviot_flows::{DomainTable, GatewayPacket};
-use behaviot_intern::Symbol;
+use behaviot_intern::{FxHashMap, FxHashSet, Symbol};
 use behaviot_net::{dns, ethernet, ipv4, pcap::PcapRecord, tcp, tls, udp, MacAddr, Proto};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -495,8 +495,7 @@ fn poisson(lambda: f64, rng: &mut StdRng) -> usize {
 /// synthesized, so per-packet sizes follow the embedded protocol messages
 /// rather than the abstract pattern sizes.
 pub fn capture_to_frames(cap: &Capture, catalog: &Catalog) -> Vec<PcapRecord> {
-    use std::collections::HashSet;
-    let mut seen_tls_flow: HashSet<(Ipv4Addr, u16, Ipv4Addr, u16)> = HashSet::new();
+    let mut seen_tls_flow: FxHashSet<(Ipv4Addr, u16, Ipv4Addr, u16)> = FxHashSet::default();
     let mut out = Vec::with_capacity(cap.packets.len());
     let gw_mac = MacAddr::from_index(0xffff);
     let gw_ip = Ipv4Addr::new(192, 168, 1, 1);
@@ -540,8 +539,7 @@ pub fn capture_to_frames(cap: &Capture, catalog: &Catalog) -> Vec<PcapRecord> {
         }
     }
     // Reverse map ip -> domain for DNS/SNI payloads.
-    let rdns: std::collections::HashMap<Ipv4Addr, String> =
-        catalog.rdns_entries().into_iter().collect();
+    let rdns: FxHashMap<Ipv4Addr, String> = catalog.rdns_entries().into_iter().collect();
 
     for p in &cap.packets {
         let dev_idx = catalog

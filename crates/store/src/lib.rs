@@ -43,8 +43,7 @@ pub mod format;
 mod artifacts;
 
 use behaviot::{BehavIoT, HealthExport, Monitor, MonitorConfig, MonitorState, SystemModel};
-use behaviot_intern::{FxHashSet, FxHasher, Symbol};
-use std::collections::HashMap;
+use behaviot_intern::{FxHashMap, FxHashSet, FxHasher, Symbol};
 use std::fmt;
 use std::fs;
 use std::hash::Hasher;
@@ -374,12 +373,12 @@ impl ModelStore {
         m.counter("store.saves").inc();
 
         // Previous manifest entries, reusable only for checkpoints.
-        let old: HashMap<String, Entry> = match changed {
+        let old: FxHashMap<String, Entry> = match changed {
             Some(_) => self
                 .read_manifest_entries()
                 .map(|entries| entries.into_iter().map(|e| (e.name.clone(), e)).collect())
                 .unwrap_or_default(),
-            None => HashMap::new(),
+            None => FxHashMap::default(),
         };
         let reusable = |device: Ipv4Addr, name: &str| -> Option<&Entry> {
             let changed = changed?;
@@ -540,8 +539,7 @@ impl ModelStore {
     /// a `.tmp` staging sibling of one) — a store opened on a directory
     /// containing foreign files never touches them.
     fn sweep_orphans(&self, entries: &[Entry]) {
-        let referenced: std::collections::HashSet<&str> =
-            entries.iter().map(|e| e.file.as_str()).collect();
+        let referenced: FxHashSet<&str> = entries.iter().map(|e| e.file.as_str()).collect();
         let Ok(dir) = fs::read_dir(&self.root) else {
             return;
         };
@@ -615,7 +613,7 @@ impl ModelStore {
             });
         }
         let mut entries = Vec::new();
-        let mut seen: std::collections::HashSet<String> = std::collections::HashSet::new();
+        let mut seen: FxHashSet<String> = FxHashSet::default();
         for (i, line) in body.lines().enumerate().skip(1) {
             let ln = i + 1;
             let fields: Vec<&str> = line.split('|').collect();
@@ -683,7 +681,7 @@ impl ModelStore {
 
         // Read + integrity-check every artifact up front: a load either
         // sees a fully consistent snapshot or fails.
-        let mut contents: HashMap<String, String> = HashMap::new();
+        let mut contents: FxHashMap<String, String> = FxHashMap::default();
         for e in &entries {
             let raw = fs::read(self.root.join(&e.file)).map_err(|err| io_err(&e.name, err))?;
             if raw.len() as u64 != e.bytes || hash_bytes(&raw) != e.hash {
