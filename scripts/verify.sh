@@ -2,12 +2,12 @@
 # Repo verification gate: rustfmt (the tree must be `cargo fmt`-clean),
 # build, full test suite, the parallel-determinism contract under an
 # explicit thread count and under `off`, the allocation contracts, the
-# PFSM inference digest, the fleet-health argument and store smokes
-# (refusal of a misspelt flag, distinct core rows, refusal of a corrupt
-# store, continuation), clippy with warnings denied on every workspace
-# crate, rustdoc with warnings denied (dangling doc links fail), and the
-# parity references the rewritten DSP and clustering cores are checked
-# against.
+# PFSM inference and Table 8 feature digests, the fleet-health argument
+# and store smokes (refusal of a misspelt flag, distinct core rows,
+# refusal of a corrupt store, continuation), clippy with warnings denied
+# on every workspace crate, rustdoc with warnings denied (dangling doc
+# links fail), and the parity references the rewritten DSP and clustering
+# cores are checked against.
 #
 # Usage: scripts/verify.sh
 set -euo pipefail
@@ -58,6 +58,9 @@ cargo test --release -q -p behaviot --test monitor_alloc
 
 echo "==> PFSM digest: inference over a seeded corpus of trace logs matches the recorded models"
 cargo test --release -q -p behaviot-pfsm --test infer_digest
+
+echo "==> feature digest: the Table 8 kernel over a seeded corpus of bursts matches the recorded bits"
+cargo test --release -q -p behaviot-flows --test extract_digest
 
 echo "==> monitor parity: symbol-native serving path matches the String pipeline byte-for-byte"
 cargo test --release -q -p behaviot-harness --test monitor_parity
