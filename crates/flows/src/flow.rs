@@ -461,4 +461,82 @@ mod tests {
             ]
         );
     }
+
+    /// `(device port, start, end, packets, bytes)` of each burst, in
+    /// output order.
+    fn bursts(flows: &[FlowRecord]) -> Vec<(u16, f64, f64, usize, u64)> {
+        flows
+            .iter()
+            .map(|f| (f.device_port, f.start, f.end, f.n_packets, f.total_bytes))
+            .collect()
+    }
+
+    #[test]
+    fn tied_starts_follow_first_sight_not_packet_index() {
+        // Ports 1, 2 and 3 are first seen at 0.0, 0.5 and 0.7, but their
+        // packets at 2.0 come in the reverse index order. All three open a
+        // burst at 2.0, in first-sight order. Port 4's packet at 2.0
+        // continues the burst it opened at 1.5.
+        let at = |ts, port, bytes| pkt(ts, DEV, port, SRV, 443, bytes);
+        let pkts = [
+            at(2.0, 3, 30),
+            at(2.0, 4, 40),
+            at(2.0, 2, 20),
+            at(2.0, 1, 10),
+            at(0.0, 1, 11),
+            at(0.5, 2, 21),
+            at(0.7, 3, 31),
+            at(1.5, 4, 41),
+            at(2.4, 2, 22),
+        ];
+        let flows = assemble_flows(&pkts, &DomainTable::new(), &cfg());
+        assert_eq!(
+            bursts(&flows),
+            [
+                (1, 0.0, 0.0, 1, 11),
+                (2, 0.5, 0.5, 1, 21),
+                (3, 0.7, 0.7, 1, 31),
+                (4, 1.5, 2.0, 2, 81),
+                (1, 2.0, 2.0, 1, 10),
+                (2, 2.0, 2.4, 2, 42),
+                (3, 2.0, 2.0, 1, 30),
+            ]
+        );
+    }
+
+    #[test]
+    fn zero_and_negative_gaps_split_same_instant_packets_only_below_zero() {
+        let at = |ts, bytes| pkt(ts, DEV, 40000, SRV, 443, bytes);
+        let pkts = [at(1.0, 100), at(1.0, 200), at(0.5, 50)];
+        let with_gap = |burst_gap| FlowConfig { burst_gap, ..cfg() };
+        // A gap of 0 is not more than 0: the two packets at 1.0 share a
+        // burst.
+        let flows = assemble_flows(&pkts, &DomainTable::new(), &with_gap(0.0));
+        assert_eq!(
+            bursts(&flows),
+            [(40000, 0.5, 0.5, 1, 50), (40000, 1.0, 1.0, 2, 300)]
+        );
+        // Below zero every packet is its own burst, same-instant packets in
+        // packet order.
+        let flows = assemble_flows(&pkts, &DomainTable::new(), &with_gap(-1.0));
+        assert_eq!(
+            bursts(&flows),
+            [
+                (40000, 0.5, 0.5, 1, 50),
+                (40000, 1.0, 1.0, 1, 100),
+                (40000, 1.0, 1.0, 1, 200),
+            ]
+        );
+    }
+
+    #[test]
+    fn nan_gap_never_splits() {
+        let at = |ts| pkt(ts, DEV, 40000, SRV, 443, 100);
+        let nan = FlowConfig {
+            burst_gap: f64::NAN,
+            ..cfg()
+        };
+        let flows = assemble_flows(&[at(100.0), at(0.0), at(5.0)], &DomainTable::new(), &nan);
+        assert_eq!(bursts(&flows), [(40000, 0.0, 100.0, 3, 300)]);
+    }
 }
