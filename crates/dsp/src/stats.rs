@@ -1,5 +1,5 @@
-//! Descriptive statistics used for flow-feature extraction (Table 8 of the
-//! paper) and for the deviation thresholds of §5.3.
+//! Descriptive statistics (mean, variance, median, percentiles) and the
+//! normal and binomial helpers behind the deviation thresholds of §5.3.
 
 /// Arithmetic mean of a slice. Returns `0.0` for an empty slice.
 pub fn mean(xs: &[f64]) -> f64 {
@@ -56,58 +56,6 @@ pub fn median_in_place(xs: &mut [f64]) -> f64 {
 pub fn median(xs: &[f64]) -> f64 {
     let mut v: Vec<f64> = xs.to_vec();
     median_in_place(&mut v)
-}
-
-/// Median absolute deviation computed destructively: `xs` is reordered and
-/// then overwritten with absolute deviations. Allocation-free counterpart of
-/// [`median_abs_dev`].
-pub fn median_abs_dev_in_place(xs: &mut [f64]) -> f64 {
-    if xs.is_empty() {
-        return 0.0;
-    }
-    let med = median_in_place(xs);
-    // Branch-free pass the compiler vectorizes; the multiset of deviations
-    // (hence the second median) is independent of the select reorder.
-    for x in xs.iter_mut() {
-        *x = (*x - med).abs();
-    }
-    median_in_place(xs)
-}
-
-/// Median absolute deviation: `median(|x_i - median(x)|)`.
-pub fn median_abs_dev(xs: &[f64]) -> f64 {
-    let mut v: Vec<f64> = xs.to_vec();
-    median_abs_dev_in_place(&mut v)
-}
-
-/// Sample skewness (Fisher-Pearson, population form). Returns `0.0` when the
-/// distribution is degenerate (fewer than two points or zero variance).
-pub fn skewness(xs: &[f64]) -> f64 {
-    let n = xs.len() as f64;
-    if xs.len() < 2 {
-        return 0.0;
-    }
-    let m = mean(xs);
-    let s = std_dev(xs);
-    if s == 0.0 {
-        return 0.0;
-    }
-    xs.iter().map(|x| ((x - m) / s).powi(3)).sum::<f64>() / n
-}
-
-/// Excess kurtosis (population form, `kurtosis(normal) ≈ 0`). Returns `0.0`
-/// for degenerate inputs.
-pub fn kurtosis(xs: &[f64]) -> f64 {
-    let n = xs.len() as f64;
-    if xs.len() < 2 {
-        return 0.0;
-    }
-    let m = mean(xs);
-    let s = std_dev(xs);
-    if s == 0.0 {
-        return 0.0;
-    }
-    xs.iter().map(|x| ((x - m) / s).powi(4)).sum::<f64>() / n - 3.0
 }
 
 /// Percentile via linear interpolation between closest ranks.
@@ -252,9 +200,6 @@ mod tests {
         assert_eq!(mean(&[]), 0.0);
         assert_eq!(median(&[]), 0.0);
         assert_eq!(variance(&[]), 0.0);
-        assert_eq!(median_abs_dev(&[]), 0.0);
-        assert_eq!(skewness(&[]), 0.0);
-        assert_eq!(kurtosis(&[]), 0.0);
         assert_eq!(percentile(&[], 50.0), 0.0);
     }
 
@@ -266,31 +211,9 @@ mod tests {
     }
 
     #[test]
-    fn mad_is_robust() {
-        let xs = [1.0, 1.0, 2.0, 2.0, 4.0, 6.0, 9.0];
-        // median = 2, |x-2| = [1,1,0,0,2,4,7], median = 1
-        assert!(close(median_abs_dev(&xs), 1.0, 1e-12));
-    }
-
-    #[test]
-    fn skew_kurtosis_symmetric() {
-        let xs = [-2.0, -1.0, 0.0, 1.0, 2.0];
-        assert!(close(skewness(&xs), 0.0, 1e-12));
-        // uniform-ish: platykurtic, negative excess kurtosis
-        assert!(kurtosis(&xs) < 0.0);
-    }
-
-    #[test]
-    fn skew_positive_for_right_tail() {
-        let xs = [1.0, 1.0, 1.0, 1.0, 10.0];
-        assert!(skewness(&xs) > 0.0);
-    }
-
-    #[test]
     fn constant_slice_degenerate() {
         let xs = [3.0; 10];
-        assert_eq!(skewness(&xs), 0.0);
-        assert_eq!(kurtosis(&xs), 0.0);
+        assert_eq!(variance(&xs), 0.0);
         assert_eq!(std_dev(&xs), 0.0);
     }
 

@@ -6,8 +6,6 @@
 //! deliberately *not* features (they are too dynamic); destination domain
 //! and protocol are carried as annotations, not in the vector.
 
-use behaviot_dsp::stats;
-
 /// Number of features (Table 8 lists exactly 21).
 pub const N_FEATURES: usize = 21;
 
@@ -78,95 +76,119 @@ impl FeatureScratch {
 /// the timing features (6–10); a burst with no finite gap gets zero timing
 /// features, like a one-packet burst. The size and count features do not
 /// read timestamps.
+///
+/// One pass over the packets fills the size and finite-gap columns and
+/// counts the size range and the four (direction, locality) classes; each
+/// column then takes a mean pass, a variance pass and one joint pass for
+/// its third and fourth moments, and a sort for its median.
 pub fn extract_with(packets: &[PacketView], scratch: &mut FeatureScratch) -> FeatureVector {
     let mut f = [0.0f64; N_FEATURES];
     if packets.is_empty() {
         return f;
     }
-    let sizes = &mut scratch.sizes;
+    let FeatureScratch { sizes, tbp } = scratch;
     sizes.clear();
-    sizes.extend(packets.iter().map(|p| p.bytes as f64));
-    f[0] = stats::mean(sizes);
-    f[1] = sizes.iter().cloned().fold(f64::INFINITY, f64::min);
-    f[2] = sizes.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-    f[4] = stats::skewness(sizes);
-    f[5] = stats::kurtosis(sizes);
-    // Destructive (overwrites the size column) — keep it after the moment
-    // stats above.
-    f[3] = stats::median_abs_dev_in_place(sizes);
-
-    let tbp = &mut scratch.tbp;
     tbp.clear();
-    tbp.extend(
-        packets
-            .windows(2)
-            .map(|w| w[1].ts - w[0].ts)
-            .filter(|gap| gap.is_finite()),
-    );
-    if !tbp.is_empty() {
-        f[6] = stats::mean(tbp);
-        f[7] = stats::variance(tbp);
-        f[9] = stats::kurtosis(tbp);
-        f[10] = stats::skewness(tbp);
-        // Sorts the gap column in place; order is no longer needed.
-        f[8] = stats::median_in_place(tbp);
+    let (mut min, mut max) = (u32::MAX, u32::MIN);
+    // Per class `outbound | remote_is_local << 1`: in and out external,
+    // then in and out local.
+    let mut count = [0u32; 4];
+    let mut bytes = [0u64; 4];
+    // The first packet's gap, against NaN, is not finite.
+    let mut prev = f64::NAN;
+    for p in packets {
+        sizes.push(f64::from(p.bytes));
+        min = min.min(p.bytes);
+        max = max.max(p.bytes);
+        let class = usize::from(p.outbound) | usize::from(p.remote_is_local) << 1;
+        count[class] += 1;
+        bytes[class] += u64::from(p.bytes);
+        let gap = p.ts - prev;
+        if gap.is_finite() {
+            tbp.push(gap);
+        }
+        prev = p.ts;
     }
 
-    let mut out_ext = 0u32;
-    let mut in_ext = 0u32;
-    let mut out_loc = 0u32;
-    let mut in_loc = 0u32;
-    let mut bytes_out_ext = 0u64;
-    let mut bytes_in_ext = 0u64;
-    let mut bytes_out_loc = 0u64;
-    let mut bytes_in_loc = 0u64;
-    for p in packets {
-        match (p.outbound, p.remote_is_local) {
-            (true, false) => {
-                out_ext += 1;
-                bytes_out_ext += p.bytes as u64;
-            }
-            (false, false) => {
-                in_ext += 1;
-                bytes_in_ext += p.bytes as u64;
-            }
-            (true, true) => {
-                out_loc += 1;
-                bytes_out_loc += p.bytes as u64;
-            }
-            (false, true) => {
-                in_loc += 1;
-                bytes_in_loc += p.bytes as u64;
-            }
-        }
+    let [mean, _, skew, kurtosis] = moments(sizes);
+    f[0] = mean;
+    f[1] = f64::from(min);
+    f[2] = f64::from(max);
+    f[4] = skew;
+    f[5] = kurtosis;
+    f[3] = median_abs_dev(sizes);
+    if !tbp.is_empty() {
+        let [mean, var, skew, kurtosis] = moments(tbp);
+        f[6] = mean;
+        f[7] = var;
+        f[8] = median(tbp);
+        f[9] = kurtosis;
+        f[10] = skew;
     }
+
+    let [in_ext, out_ext, in_loc, out_loc] = count;
     f[11] = out_ext as f64;
     f[12] = in_ext as f64;
     f[13] = (out_ext + in_ext) as f64;
     f[14] = (out_loc + in_loc) as f64;
     f[15] = out_loc as f64;
     f[16] = in_loc as f64;
-    f[17] = if out_ext > 0 {
-        bytes_out_ext as f64 / out_ext as f64
-    } else {
-        0.0
+    let mean_bytes = |class: usize| match count[class] {
+        0 => 0.0,
+        c => bytes[class] as f64 / c as f64,
     };
-    f[18] = if in_ext > 0 {
-        bytes_in_ext as f64 / in_ext as f64
-    } else {
-        0.0
-    };
-    f[19] = if out_loc > 0 {
-        bytes_out_loc as f64 / out_loc as f64
-    } else {
-        0.0
-    };
-    f[20] = if in_loc > 0 {
-        bytes_in_loc as f64 / in_loc as f64
-    } else {
-        0.0
-    };
+    f[17] = mean_bytes(1);
+    f[18] = mean_bytes(0);
+    f[19] = mean_bytes(3);
+    f[20] = mean_bytes(2);
     f
+}
+
+/// Mean, population variance, skewness (Fisher-Pearson, population form)
+/// and excess kurtosis of a non-empty column; the three spread statistics
+/// are zero for fewer than two values or zero variance. Every sum runs in
+/// column order from `-0.0`, where `Iterator::sum` starts, so each value
+/// is bit for bit that of a pass of its own.
+fn moments(xs: &[f64]) -> [f64; 4] {
+    let n = xs.len() as f64;
+    let mean = xs.iter().sum::<f64>() / n;
+    if xs.len() < 2 {
+        return [mean, 0.0, 0.0, 0.0];
+    }
+    let var = xs.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / n;
+    let sd = var.sqrt();
+    if sd == 0.0 {
+        return [mean, var, 0.0, 0.0];
+    }
+    let (mut cubes, mut fourths) = (-0.0, -0.0);
+    for x in xs {
+        let z = (x - mean) / sd;
+        let z2 = z * z;
+        cubes += z2 * z;
+        fourths += z2 * z2;
+    }
+    [mean, var, cubes / n, fourths / n - 3.0]
+}
+
+/// Median of a non-empty column, sorting it in place.
+fn median(xs: &mut [f64]) -> f64 {
+    xs.sort_unstable_by(f64::total_cmp);
+    let mid = xs.len() / 2;
+    if xs.len() % 2 == 1 {
+        xs[mid]
+    } else {
+        0.5 * (xs[mid - 1] + xs[mid])
+    }
+}
+
+/// Median absolute deviation of a non-empty column, which it overwrites
+/// with the absolute deviations.
+fn median_abs_dev(xs: &mut [f64]) -> f64 {
+    let med = median(xs);
+    for x in xs.iter_mut() {
+        *x = (*x - med).abs();
+    }
+    median(xs)
 }
 
 /// Allocating convenience wrapper around [`extract_with`]; burst-assembly
@@ -201,6 +223,41 @@ mod tests {
         assert_eq!(f[1], 100.0); // min
         assert_eq!(f[2], 300.0); // max
         assert_eq!(f[3], 100.0); // MAD around median 200
+    }
+
+    #[test]
+    fn mad_is_robust() {
+        // median = 2, |x-2| = [1,1,0,0,2,4,7], median = 1
+        let pkts: Vec<PacketView> = [1, 1, 2, 2, 4, 6, 9]
+            .iter()
+            .map(|&b| pkt(0.0, b, true, false))
+            .collect();
+        assert_eq!(extract(&pkts)[3], 1.0);
+    }
+
+    #[test]
+    fn skew_kurtosis_symmetric() {
+        // Sizes 1..=5 and gaps 1..=5: symmetric, and flat (platykurtic,
+        // negative excess kurtosis).
+        let f = extract(&[1, 2, 3, 4, 5].map(|b| pkt(0.0, b, true, false)));
+        assert!(f[4].abs() < 1e-12 && f[5] < 0.0, "{f:?}");
+        let f = extract(&[0.0, 1.0, 3.0, 6.0, 10.0, 15.0].map(|ts| pkt(ts, 60, true, false)));
+        assert!(f[10].abs() < 1e-12 && f[9] < 0.0, "{f:?}");
+    }
+
+    #[test]
+    fn skew_positive_for_right_tail() {
+        let f = extract(&[1, 1, 1, 1, 10].map(|b| pkt(0.0, b, true, false)));
+        assert!(f[4] > 0.0);
+        let f = extract(&[0.0, 1.0, 2.0, 3.0, 4.0, 14.0].map(|ts| pkt(ts, 60, true, false)));
+        assert!(f[10] > 0.0);
+    }
+
+    #[test]
+    fn moment_sums_start_where_iterator_sum_does() {
+        // `moments` folds its third and fourth powers from `-0.0`, the start
+        // of `Iterator::sum`, so that they match a `sum` pass of their own.
+        assert!(std::iter::empty::<f64>().sum::<f64>().is_sign_negative());
     }
 
     #[test]

@@ -82,32 +82,20 @@ impl FlowRecord {
     }
 }
 
-/// Unordered endpoint pair used to unify both directions of a flow.
-#[derive(PartialEq, Eq, Hash, Clone, Copy)]
-struct Unordered {
-    a: (Ipv4Addr, u16),
-    b: (Ipv4Addr, u16),
-    proto: Proto,
+/// The flow-id key of a packet: its lower `(ip, port)` end in bits
+/// 56..104, the higher in bits 8..56 and the IP protocol number in bits
+/// 0..8, so both directions of a flow share one key.
+fn unordered_key(p: &GatewayPacket) -> u128 {
+    let end = |ip: Ipv4Addr, port: u16| u64::from(u32::from(ip)) << 16 | u64::from(port);
+    let (x, y) = (end(p.src, p.src_port), end(p.dst, p.dst_port));
+    u128::from(x.min(y)) << 56 | u128::from(x.max(y)) << 8 | u128::from(p.proto.number())
 }
 
-impl Unordered {
-    fn of(p: &GatewayPacket) -> Self {
-        let x = (p.src, p.src_port);
-        let y = (p.dst, p.dst_port);
-        if x <= y {
-            Self {
-                a: x,
-                b: y,
-                proto: p.proto,
-            }
-        } else {
-            Self {
-                a: y,
-                b: x,
-                proto: p.proto,
-            }
-        }
-    }
+/// The packets `views[begin..end]` of one burst of flow `flow`.
+struct Burst {
+    flow: u32,
+    begin: u32,
+    end: u32,
 }
 
 /// Assemble packets into per-flow bursts with features and domain
@@ -123,9 +111,10 @@ impl Unordered {
 /// The work is done in a handful of flat buffers, so the number of heap
 /// allocations grows only with their doublings, not with the number of
 /// flows: packet indices sorted by `(ts, index)` (the order a stable sort
-/// by time gives), one flow id per 5-tuple in first-sight order, the
-/// packets of every flow counting-sorted into one buffer, and one small
-/// `(start, index)` key per burst to order the output.
+/// by time gives), one flow id per packed endpoint-pair key in first-sight
+/// order, the packets of every flow counting-sorted into one buffer, and
+/// the bursts, found while that buffer fills in time order and so listed
+/// in start order.
 ///
 /// # Panics
 ///
@@ -155,12 +144,12 @@ pub fn assemble_flows(
     });
 
     // Flow ids in first-sight order; orientation is fixed at first sight.
-    let mut ids: FxHashMap<Unordered, u32> = FxHashMap::default();
+    let mut ids: FxHashMap<u128, u32> = FxHashMap::default();
     let mut keys: Vec<FlowKey> = Vec::new();
     let mut flow_of: Vec<u32> = Vec::with_capacity(order.len());
     for &i in &order {
         let p = &packets[i as usize];
-        let id = *ids.entry(Unordered::of(p)).or_insert_with(|| {
+        let id = *ids.entry(unordered_key(p)).or_insert_with(|| {
             // Prefer the local src as the device; if the sender is remote,
             // the local dst is the device.
             keys.push(if local(p.src) {
@@ -185,16 +174,15 @@ pub fn assemble_flows(
         flow_of.push(id);
     }
 
-    // Counting sort: flow `f` owns `views[offsets[f]..offsets[f + 1]]`,
-    // filled in time order.
-    let mut offsets: Vec<usize> = vec![0; keys.len() + 1];
+    // Counting sort: flow `f` owns `views[fill[f]..fill[f + 1]]` and fills
+    // it in time order, `fill[f]` moving to the flow's end as it does.
+    let mut fill: Vec<u32> = vec![0; keys.len() + 1];
     for &f in &flow_of {
-        offsets[f as usize + 1] += 1;
+        fill[f as usize + 1] += 1;
     }
     for f in 0..keys.len() {
-        offsets[f + 1] += offsets[f];
+        fill[f + 1] += fill[f];
     }
-    let mut fill = offsets.clone();
     let blank = PacketView {
         ts: 0.0,
         bytes: 0,
@@ -202,10 +190,31 @@ pub fn assemble_flows(
         remote_is_local: false,
     };
     let mut views = vec![blank; order.len()];
+    // A packet opens a burst when it is its flow's first, or comes more
+    // than `burst_gap` after the flow's previous packet, so bursts open in
+    // start order; a run of bitwise-equal starts is put in `(flow, begin)`
+    // order once it ends. Ids follow first sight, so flow `f`'s first packet
+    // is the first the walk meets after those of flows `0..f`.
+    let mut bursts: Vec<Burst> = Vec::with_capacity(keys.len());
+    let (mut seen, mut run, mut run_start) = (0, 0, f64::NAN);
     for (&i, &f) in order.iter().zip(&flow_of) {
         let p = &packets[i as usize];
         let key = &keys[f as usize];
-        views[fill[f as usize]] = PacketView {
+        let at = fill[f as usize];
+        let first = f == seen;
+        seen += u32::from(first);
+        if first || p.ts - views[at as usize - 1].ts > cfg.burst_gap {
+            if p.ts.to_bits() != run_start.to_bits() {
+                bursts[run..].sort_unstable_by_key(|b| (b.flow, b.begin));
+                (run, run_start) = (bursts.len(), p.ts);
+            }
+            bursts.push(Burst {
+                flow: f,
+                begin: at,
+                end: 0,
+            });
+        }
+        views[at as usize] = PacketView {
             ts: p.ts,
             bytes: p.bytes,
             outbound: p.src == key.device && p.src_port == key.device_port,
@@ -213,43 +222,29 @@ pub fn assemble_flows(
         };
         fill[f as usize] += 1;
     }
-
-    // Bursts `(flow, begin, end)` flow by flow, split at gaps over
-    // `burst_gap`; then ordered by `(start, emission index)`, the order a
-    // stable sort of the finished records by start gives.
-    let mut bursts: Vec<(u32, usize, usize)> = Vec::with_capacity(keys.len());
-    for f in 0..keys.len() {
-        let (lo, hi) = (offsets[f], offsets[f + 1]);
-        let mut begin = lo;
-        for i in lo + 1..=hi {
-            if i == hi || views[i].ts - views[i - 1].ts > cfg.burst_gap {
-                bursts.push((f as u32, begin, i));
-                begin = i;
-            }
-        }
+    bursts[run..].sort_unstable_by_key(|b| (b.flow, b.begin));
+    // Each burst ends where its flow's next one begins; the last at the
+    // flow's end, where the walk left `fill`.
+    for b in bursts.iter_mut().rev() {
+        b.end = fill[b.flow as usize];
+        fill[b.flow as usize] = b.begin;
     }
-    let mut by_start: Vec<(f64, u32)> = bursts
-        .iter()
-        .enumerate()
-        .map(|(e, &(_, begin, _))| (views[begin].ts, e as u32))
-        .collect();
-    by_start.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
 
     // The table does not change during the call: one lookup per flow.
     let names: Vec<Option<Symbol>> = keys.iter().map(|k| domains.resolve(k.remote)).collect();
     // One scratch serves every extraction.
     let mut scratch = FeatureScratch::new();
     let mut out = Vec::with_capacity(bursts.len());
-    for &(_, e) in &by_start {
-        let (f, begin, end) = bursts[e as usize];
-        let (key, burst) = (&keys[f as usize], &views[begin..end]);
+    for b in &bursts {
+        let key = &keys[b.flow as usize];
+        let burst = &views[b.begin as usize..b.end as usize];
         out.push(FlowRecord {
             device: key.device,
             remote: key.remote,
             device_port: key.device_port,
             remote_port: key.remote_port,
             proto: key.proto,
-            domain: names[f as usize],
+            domain: names[b.flow as usize],
             start: burst[0].ts,
             end: burst[burst.len() - 1].ts,
             n_packets: burst.len(),
