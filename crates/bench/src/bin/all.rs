@@ -2,12 +2,17 @@
 //! Pass --quick for reduced scale, --threads auto|off|N for the thread
 //! policy (results are identical under every policy).
 use behaviot_bench::{
-    experiments as e, parallelism_from_args, scale_from_args, ObsSession, Prepared,
+    experiments as e, parallelism_from_args, refuse_unknown_args, scale_from_args, ObsSession,
+    Prepared,
 };
 
 type Section<'a> = (&'a str, Box<dyn Fn() -> String + 'a>);
 
+const USAGE: &str = "usage: all [--quick] [--threads auto|off|N] [--trace spans.json] \
+[--metrics-out metrics.jsonl] [--openmetrics-out metrics.prom]";
+
 fn main() {
+    refuse_unknown_args(USAGE, &["--threads"], &["--quick"]);
     let obs = ObsSession::from_args();
     let scale = scale_from_args();
     let parallelism = parallelism_from_args();

@@ -1,8 +1,4 @@
 //! Ablation study of the design choices called out in DESIGN.md.
-use behaviot_bench::{experiments, parallelism_from_args, scale_from_args, ObsSession, Prepared};
 fn main() {
-    let obs = ObsSession::from_args();
-    let p = Prepared::build_with(scale_from_args(), parallelism_from_args());
-    println!("{}", experiments::exp_ablations(&p));
-    obs.finish();
+    behaviot_bench::experiment_main("exp_ablations", behaviot_bench::experiments::exp_ablations);
 }

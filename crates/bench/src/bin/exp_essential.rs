@@ -1,8 +1,4 @@
 //! Regenerates the paper's `exp_essential` result. Pass --quick for reduced scale.
-use behaviot_bench::{experiments, parallelism_from_args, scale_from_args, ObsSession, Prepared};
 fn main() {
-    let obs = ObsSession::from_args();
-    let p = Prepared::build_with(scale_from_args(), parallelism_from_args());
-    println!("{}", experiments::exp_essential(&p));
-    obs.finish();
+    behaviot_bench::experiment_main("exp_essential", behaviot_bench::experiments::exp_essential);
 }

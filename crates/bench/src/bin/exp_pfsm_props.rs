@@ -1,8 +1,7 @@
 //! Regenerates the paper's `exp_pfsm_props` result. Pass --quick for reduced scale.
-use behaviot_bench::{experiments, parallelism_from_args, scale_from_args, ObsSession, Prepared};
 fn main() {
-    let obs = ObsSession::from_args();
-    let p = Prepared::build_with(scale_from_args(), parallelism_from_args());
-    println!("{}", experiments::exp_pfsm_props(&p));
-    obs.finish();
+    behaviot_bench::experiment_main(
+        "exp_pfsm_props",
+        behaviot_bench::experiments::exp_pfsm_props,
+    );
 }

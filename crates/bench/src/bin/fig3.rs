@@ -1,8 +1,4 @@
 //! Regenerates the paper's `fig3` result. Pass --quick for reduced scale.
-use behaviot_bench::{experiments, parallelism_from_args, scale_from_args, ObsSession, Prepared};
 fn main() {
-    let obs = ObsSession::from_args();
-    let p = Prepared::build_with(scale_from_args(), parallelism_from_args());
-    println!("{}", experiments::fig3(&p));
-    obs.finish();
+    behaviot_bench::experiment_main("fig3", behaviot_bench::experiments::fig3);
 }

@@ -1,8 +1,4 @@
 //! Regenerates the paper's `fig4c` result. Pass --quick for reduced scale.
-use behaviot_bench::{experiments, parallelism_from_args, scale_from_args, ObsSession, Prepared};
 fn main() {
-    let obs = ObsSession::from_args();
-    let p = Prepared::build_with(scale_from_args(), parallelism_from_args());
-    println!("{}", experiments::fig4c(&p));
-    obs.finish();
+    behaviot_bench::experiment_main("fig4c", behaviot_bench::experiments::fig4c);
 }

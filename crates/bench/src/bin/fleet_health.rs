@@ -31,7 +31,7 @@
 use behaviot::system::{SystemModel, SystemModelConfig};
 use behaviot::{HealthConfig, HealthState, HealthTransition, Monitor, MonitorConfig};
 use behaviot_bench::{
-    check_args, flag_from_args, parallelism_from_args, scale_from_args, ArgCheck, ObsSession,
+    flag_from_args, parallelism_from_args, refuse_unknown_args, scale_from_args, ObsSession,
     Prepared,
 };
 use behaviot_flows::{assemble_flows, FlowConfig};
@@ -45,29 +45,8 @@ const USAGE: &str = "usage: fleet-health [--quick] [--days N] [--threads auto|of
 [--store DIR] [--ledger-out ledger.jsonl] [--openmetrics-out metrics.prom] \
 [--trace spans.json] [--metrics-out metrics.jsonl]";
 
-const FLAGS: &[&str] = &[
-    "--days",
-    "--threads",
-    "--store",
-    "--ledger-out",
-    "--openmetrics-out",
-    "--trace",
-    "--metrics-out",
-];
-
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    match check_args(&args, FLAGS, &["--quick"]) {
-        ArgCheck::Run => {}
-        ArgCheck::Help => {
-            println!("{USAGE}");
-            return;
-        }
-        ArgCheck::Unknown(a) => {
-            eprintln!("unknown argument {a:?}\n{USAGE}");
-            std::process::exit(2);
-        }
-    }
+    refuse_unknown_args(USAGE, &["--days", "--threads", "--store"], &["--quick"]);
     let obs = ObsSession::from_args_with_ledger();
     let par = parallelism_from_args();
     let mut scale = scale_from_args();

@@ -11,9 +11,13 @@
 //! the ledger is the monitor window's deviation audit records; the
 //! OpenMetrics file is the Prometheus text exposition of the same metrics
 //! registry. All four are byte-identical under every `--threads` policy.
-use behaviot_bench::{parallelism_from_args, smoke, ObsSession};
+use behaviot_bench::{parallelism_from_args, refuse_unknown_args, smoke, ObsSession};
+
+const USAGE: &str = "usage: obs_smoke [--threads auto|off|N] [--trace spans.json] \
+[--metrics-out metrics.jsonl] [--ledger-out ledger.jsonl] [--openmetrics-out metrics.prom]";
 
 fn main() {
+    refuse_unknown_args(USAGE, &["--threads"], &[]);
     let obs = ObsSession::from_args_with_ledger();
     let par = parallelism_from_args();
     let mut sink = obs.ledger_sink();

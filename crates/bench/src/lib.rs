@@ -15,12 +15,28 @@ pub mod report;
 pub mod smoke;
 
 pub use behaviot_par::Parallelism;
-pub use obs::{check_args, flag_from_args, ArgCheck, ObsSession};
+pub use obs::{check_args, flag_from_args, refuse_unknown_args, ArgCheck, ObsSession, OBS_FLAGS};
 pub use prep::{Prepared, Scale};
 
+/// `main` of the experiment binary `name` over the prepared datasets: it
+/// refuses unknown arguments ([`refuse_unknown_args`]), builds the
+/// datasets at the scale of `--quick` under the `--threads` policy, and
+/// prints what `report` makes of them.
+pub fn experiment_main(name: &str, report: impl FnOnce(&Prepared) -> String) {
+    let usage = format!(
+        "usage: {name} [--quick] [--threads auto|off|N] [--trace spans.json] \
+         [--metrics-out metrics.jsonl] [--openmetrics-out metrics.prom]"
+    );
+    refuse_unknown_args(&usage, &["--threads"], &["--quick"]);
+    let obs = ObsSession::from_args();
+    let p = Prepared::build_with(scale_from_args(), parallelism_from_args());
+    println!("{}", report(&p));
+    obs.finish();
+}
+
 /// Parse the common CLI convention of the experiment binaries: `--quick`
-/// selects the reduced-scale datasets (used in CI); anything else runs the
-/// full scale of the paper.
+/// selects the reduced-scale datasets (used in CI); without it a run is at
+/// the full scale of the paper.
 pub fn scale_from_args() -> Scale {
     if std::env::args().any(|a| a == "--quick") {
         Scale::quick()

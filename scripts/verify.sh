@@ -2,12 +2,12 @@
 # Repo verification gate: rustfmt (the tree must be `cargo fmt`-clean),
 # build, full test suite, the parallel-determinism contract under an
 # explicit thread count and under `off`, the allocation contracts, the
-# PFSM inference and Table 8 feature digests, the fleet-health argument
-# and store smokes (refusal of a misspelt flag, distinct core rows,
-# refusal of a corrupt store, continuation), clippy with warnings denied
-# on every workspace crate, rustdoc with warnings denied (dangling doc
-# links fail), and the parity references the rewritten DSP and clustering
-# cores are checked against.
+# PFSM inference and Table 8 feature digests, the argument smokes
+# (fleet-health and table2 refuse a misspelt flag), the fleet-health
+# store smokes (distinct core rows, refusal of a corrupt store,
+# continuation), clippy with warnings denied on every workspace crate,
+# rustdoc with warnings denied (dangling doc links fail), and the parity
+# references the rewritten DSP and clustering cores are checked against.
 #
 # Usage: scripts/verify.sh
 set -euo pipefail
@@ -133,6 +133,22 @@ grep -q 'unknown argument "--stor"' "$obs_tmp/misspelt.err" || {
   exit 1
 }
 echo "argument smoke: --stor refused with exit 2, nothing created"
+
+echo "==> argument smoke: an experiment binary refuses a misspelt flag before any work"
+status=0
+timeout 10 cargo run --release -q -p behaviot-bench --bin table2 -- \
+  --quik > "$obs_tmp/quik.txt" 2> "$obs_tmp/quik.err" || status=$?
+[ "$status" -eq 2 ] || {
+  echo "table2 --quik exited $status, not 2:"
+  cat "$obs_tmp/quik.err"
+  exit 1
+}
+grep -q 'unknown argument "--quik"' "$obs_tmp/quik.err" || {
+  echo "table2 --quik did not name the unknown argument:"
+  cat "$obs_tmp/quik.err"
+  exit 1
+}
+echo "argument smoke: table2 --quik refused with exit 2"
 
 echo "==> health smoke: fleet-health replay with ledger + OpenMetrics artifacts, saved to a store"
 cargo run --release -q -p behaviot-bench --bin fleet-health -- \
