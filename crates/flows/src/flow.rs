@@ -474,6 +474,7 @@ mod tests {
         // continues the burst it opened at 1.5.
         let at = |ts, port, bytes| pkt(ts, DEV, port, SRV, 443, bytes);
         let pkts = [
+            at(5.0, 1, 12),
             at(2.0, 3, 30),
             at(2.0, 4, 40),
             at(2.0, 2, 20),
@@ -495,6 +496,7 @@ mod tests {
                 (1, 2.0, 2.0, 1, 10),
                 (2, 2.0, 2.4, 2, 42),
                 (3, 2.0, 2.0, 1, 30),
+                (1, 5.0, 5.0, 1, 12),
             ]
         );
     }
