@@ -1,15 +1,9 @@
 //! §5.1 synthetic periodicity experiment (100/100/100 sequences).
-//!
-//! ```text
-//! exp_periodicity [--trace spans.json] [--metrics-out metrics.jsonl] [--openmetrics-out metrics.prom]
-//! ```
+const USAGE: &str = "usage: exp_periodicity [--trace spans.json] [--metrics-out metrics.jsonl] \
+[--openmetrics-out metrics.prom]";
+
 fn main() {
-    behaviot_bench::refuse_unknown_args(
-        "usage: exp_periodicity [--trace spans.json] [--metrics-out metrics.jsonl] \
-         [--openmetrics-out metrics.prom]",
-        &[],
-        &[],
-    );
+    behaviot_bench::refuse_unknown_args(USAGE, &[], &[]);
     let obs = behaviot_bench::ObsSession::from_args();
     println!("{}", behaviot_bench::experiments::exp_periodicity(0x5EED));
     obs.finish();

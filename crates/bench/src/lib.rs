@@ -15,7 +15,7 @@ pub mod report;
 pub mod smoke;
 
 pub use behaviot_par::Parallelism;
-pub use obs::{check_args, flag_from_args, refuse_unknown_args, ArgCheck, ObsSession, OBS_FLAGS};
+pub use obs::{flag_from_args, refuse_unknown_args, ObsSession};
 pub use prep::{Prepared, Scale};
 
 /// `main` of the experiment binary `name` over the prepared datasets: it

@@ -15,8 +15,8 @@
 //! `Monitor::process_window_audited`; every other binary has no ledger to
 //! write, and [`ObsSession::from_args`] rejects `--ledger-out` there.
 //! Every binary refuses arguments it does not know
-//! ([`refuse_unknown_args`]), and these flags ([`OBS_FLAGS`]) are known to
-//! all of them.
+//! ([`refuse_unknown_args`]), and these four flags are known to all of
+//! them.
 
 use behaviot_obs::{FileSink, LedgerSink, NullSink};
 use std::path::PathBuf;
@@ -95,17 +95,17 @@ pub fn check_args(args: &[String], flags: &[&str], switches: &[&str]) -> ArgChec
 /// The value flags an [`ObsSession`] reads. Every binary accepts them;
 /// where no monitor runs, [`ObsSession::from_args`] then refuses
 /// `--ledger-out` with a message of its own.
-pub const OBS_FLAGS: [&str; 4] = [
+const OBS_FLAGS: [&str; 4] = [
     "--trace",
     "--metrics-out",
     "--ledger-out",
     "--openmetrics-out",
 ];
 
-/// Check the process arguments with [`check_args`] against `flags`,
-/// [`OBS_FLAGS`] and `switches`, before any work: `--help` prints `usage`
-/// and exits 0, and an unknown argument prints `unknown argument "ARG"`
-/// and `usage` and exits 2.
+/// Check the process arguments with [`check_args`] against `flags`, the
+/// four observability flags and `switches`, before any work: `--help`
+/// prints `usage` and exits 0, and an unknown argument prints `unknown
+/// argument "ARG"` and `usage` and exits 2.
 pub fn refuse_unknown_args(usage: &str, flags: &[&str], switches: &[&str]) {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match check_args(&args, &[flags, &OBS_FLAGS].concat(), switches) {
