@@ -116,6 +116,7 @@ pub fn extract_with(packets: &[PacketView], scratch: &mut FeatureScratch) -> Fea
     f[2] = f64::from(max);
     f[4] = skew;
     f[5] = kurtosis;
+    // Overwrites the size column, so it comes after the moments.
     f[3] = median_abs_dev(sizes);
     if !tbp.is_empty() {
         let [mean, var, skew, kurtosis] = moments(tbp);
@@ -251,13 +252,6 @@ mod tests {
         assert!(f[4] > 0.0);
         let f = extract(&[0.0, 1.0, 2.0, 3.0, 4.0, 14.0].map(|ts| pkt(ts, 60, true, false)));
         assert!(f[10] > 0.0);
-    }
-
-    #[test]
-    fn moment_sums_start_where_iterator_sum_does() {
-        // `moments` folds its third and fourth powers from `-0.0`, the start
-        // of `Iterator::sum`, so that they match a `sum` pass of their own.
-        assert!(std::iter::empty::<f64>().sum::<f64>().is_sign_negative());
     }
 
     #[test]
