@@ -12,7 +12,7 @@
 //! counts and reports drop fraction vs. deviation of the inferred event
 //! table from the fault-free run (the EXPERIMENTS.md numbers).
 use behaviot::{BehavIoT, TrainConfig, TrainingData};
-use behaviot_bench::flag_from_args;
+use behaviot_bench::{flag_from_args, refuse_unknown_args};
 use behaviot_flows::ingest::{ingest_pcap_bytes, IngestOptions};
 use behaviot_flows::{assemble_flows, classify_frame, FlowConfig, FrameClass};
 use behaviot_net::pcap::PcapRecord;
@@ -21,25 +21,15 @@ use behaviot_sim::{write_pcap, Catalog, FaultPlan, TrafficGenerator};
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
+const USAGE: &str = "usage: chaos [--seeds N] [--faults N] [--max-drop-frac F] [--sweep] \
+[--trace PATH] [--metrics-out PATH] [--openmetrics-out PATH]";
+
 struct Args {
     seeds: u64,
     faults: usize,
     max_drop_frac: Option<f64>,
     sweep: bool,
 }
-
-/// Flags that take a value. The observability ones are read by
-/// `ObsSession::from_args`; they are listed so the parser stays strict.
-/// `--ledger-out` is not among them: `ObsSession::from_args` rejects it,
-/// as chaos runs no monitor.
-const VALUE_FLAGS: [&str; 6] = [
-    "--seeds",
-    "--faults",
-    "--max-drop-frac",
-    "--trace",
-    "--metrics-out",
-    "--openmetrics-out",
-];
 
 /// `flag`'s value parsed as a `T`; `what` names the expected form in the
 /// error.
@@ -60,34 +50,12 @@ fn parse_args() -> Args {
         eprintln!("--max-drop-frac requires a number in [0, 1]");
         std::process::exit(2);
     }
-    let mut out = Args {
+    Args {
         seeds,
         faults,
         max_drop_frac,
-        sweep: false,
-    };
-    // Every value is well-formed by now, so a separate-form flag is always
-    // followed by its value.
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut rest = args.iter();
-    while let Some(a) = rest.next() {
-        if a == "--sweep" {
-            out.sweep = true;
-        } else if VALUE_FLAGS.contains(&a.as_str()) {
-            rest.next();
-        } else if !VALUE_FLAGS
-            .iter()
-            .any(|f| a.strip_prefix(f).is_some_and(|v| v.starts_with('=')))
-        {
-            eprintln!("unknown argument: {a}");
-            eprintln!(
-                "usage: chaos [--seeds N] [--faults N] [--max-drop-frac F] [--sweep] \
-                 [--trace PATH] [--metrics-out PATH] [--openmetrics-out PATH]"
-            );
-            std::process::exit(2);
-        }
+        sweep: std::env::args().any(|a| a == "--sweep"),
     }
-    out
 }
 
 fn sim_records(catalog: &Catalog, seed: u64, secs: f64) -> Vec<PcapRecord> {
@@ -110,10 +78,7 @@ fn run_seed(catalog: &Catalog, seed: u64, faults: usize, max_drop_frac: Option<f
     let mask = flow_mask(&records);
     let plan = FaultPlan::generate(seed, &records, &mask, faults);
 
-    let opts = IngestOptions {
-        max_drop_frac,
-        ..IngestOptions::default()
-    };
+    let opts = IngestOptions { max_drop_frac };
     let corrupted = match ingest_pcap_bytes(&plan.corrupt(&records), &opts) {
         Ok(i) => i,
         Err(e) => {
@@ -202,10 +167,7 @@ fn run_sweep(catalog: &Catalog, seed: u64, max_drop_frac: Option<f64>) {
     );
     for intensity in [0usize, 8, 16, 32, 64, 128] {
         let plan = FaultPlan::generate(seed, &records, &mask, intensity);
-        let opts = IngestOptions {
-            max_drop_frac,
-            ..IngestOptions::default()
-        };
+        let opts = IngestOptions { max_drop_frac };
         let ingested = match ingest_pcap_bytes(&plan.corrupt(&records), &opts) {
             Ok(i) => i,
             Err(e) => {
@@ -241,6 +203,11 @@ fn run_sweep(catalog: &Catalog, seed: u64, max_drop_frac: Option<f64>) {
 }
 
 fn main() {
+    refuse_unknown_args(
+        USAGE,
+        &["--seeds", "--faults", "--max-drop-frac"],
+        &["--sweep"],
+    );
     let obs = behaviot_bench::ObsSession::from_args();
     let args = parse_args();
     let catalog = Catalog::standard();

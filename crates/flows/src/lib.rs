@@ -12,8 +12,10 @@
 //!    destination domain (from DNS answers, TLS SNI, or a reverse-DNS
 //!    table) and the 21 features of Table 8.
 //!
-//! The capture can come from raw bytes (pcap / [`packet::parse_frame`]) or
-//! directly from the testbed simulator as [`GatewayPacket`]s.
+//! The capture comes either as pcap bytes, which
+//! [`ingest::ingest_pcap_bytes`] turns into packets (each frame through
+//! [`classify_frame`]), or directly from the testbed simulator as
+//! [`GatewayPacket`]s.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -28,7 +30,7 @@ pub use domain::DomainTable;
 pub use features::{FeatureScratch, FeatureVector, FEATURE_NAMES, N_FEATURES};
 pub use flow::{assemble_flows, FlowConfig, FlowRecord};
 pub use ingest::{IngestOptions, Ingested};
-pub use packet::{classify_frame, parse_frame, Direction, FrameClass, GatewayPacket, ParsedFrame};
+pub use packet::{classify_frame, FrameClass, GatewayPacket, ParsedFrame};
 
 // Re-exported so downstream pipeline crates share the same interner types
 // without a separate dependency line.

@@ -3,15 +3,6 @@
 use behaviot_net::{dns, ethernet, ipv4, tcp, tls, udp, Proto};
 use std::net::Ipv4Addr;
 
-/// Direction of a packet relative to the device that owns the flow.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Direction {
-    /// Device → remote.
-    Out,
-    /// Remote → device.
-    In,
-}
-
 /// A packet as the gateway observes it — addresses, ports, protocol, size
 /// and timestamp. This is the pivot type between raw captures, the
 /// simulator, and flow assembly. Sizes are IP total length (headers +
@@ -125,19 +116,6 @@ pub fn classify_frame(ts: f64, frame: &[u8]) -> FrameClass {
     })
 }
 
-/// Parse an Ethernet frame captured at time `ts`. Returns `None` for
-/// non-IPv4 frames or transports other than TCP/UDP (ARP, ICMP, IPv6 — the
-/// paper's pipeline also models only TCP/UDP flows). Malformed IPv4/TCP/UDP
-/// content yields `None` as well: a measurement pipeline skips garbage
-/// rather than aborting the capture. [`classify_frame`] is the variant that
-/// distinguishes the two cases for ingest accounting.
-pub fn parse_frame(ts: f64, frame: &[u8]) -> Option<ParsedFrame> {
-    match classify_frame(ts, frame) {
-        FrameClass::Flow(p) => Some(p),
-        FrameClass::NonIp | FrameClass::Corrupt(_) => None,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -146,6 +124,14 @@ mod tests {
 
     const DEV: Ipv4Addr = Ipv4Addr::new(192, 168, 1, 10);
     const SRV: Ipv4Addr = Ipv4Addr::new(52, 10, 20, 30);
+
+    /// The parsed form of a frame that must classify as a flow frame.
+    fn flow(ts: f64, frame: &[u8]) -> ParsedFrame {
+        match classify_frame(ts, frame) {
+            FrameClass::Flow(parsed) => parsed,
+            other => panic!("not a flow frame: {other:?}"),
+        }
+    }
 
     fn wrap_ip(ip_payload: Vec<u8>) -> Vec<u8> {
         ethernet::encode(
@@ -160,7 +146,7 @@ mod tests {
     fn parses_tcp_frame() {
         let seg = tcp::encode(DEV, SRV, 40000, 443, 1, 0, TcpFlags::DATA, b"data");
         let frame = wrap_ip(ipv4::encode(DEV, SRV, 6, 7, &seg));
-        let parsed = parse_frame(3.25, &frame).unwrap();
+        let parsed = flow(3.25, &frame);
         assert_eq!(parsed.packet.ts, 3.25);
         assert_eq!(parsed.packet.src, DEV);
         assert_eq!(parsed.packet.dst, SRV);
@@ -177,7 +163,7 @@ mod tests {
         let hello = tls::build_client_hello("iot.us-east-1.amazonaws.com", 5);
         let seg = tcp::encode(DEV, SRV, 40001, 443, 1, 0, TcpFlags::DATA, &hello);
         let frame = wrap_ip(ipv4::encode(DEV, SRV, 6, 8, &seg));
-        let parsed = parse_frame(0.0, &frame).unwrap();
+        let parsed = flow(0.0, &frame);
         assert_eq!(parsed.sni.as_deref(), Some("iot.us-east-1.amazonaws.com"));
     }
 
@@ -186,7 +172,7 @@ mod tests {
         let resp = dns::build_response(1, "devs.tplinkcloud.com", &[SRV], 300).unwrap();
         let dg = udp::encode(Ipv4Addr::new(192, 168, 1, 1), DEV, 53, 5353, &resp);
         let frame = wrap_ip(ipv4::encode(Ipv4Addr::new(192, 168, 1, 1), DEV, 17, 9, &dg));
-        let parsed = parse_frame(0.0, &frame).unwrap();
+        let parsed = flow(0.0, &frame);
         assert_eq!(
             parsed.dns_mappings,
             vec![(SRV, "devs.tplinkcloud.com".to_string())]
@@ -204,7 +190,7 @@ mod tests {
             10,
             &dg,
         ));
-        let parsed = parse_frame(0.0, &frame).unwrap();
+        let parsed = flow(0.0, &frame);
         assert!(parsed.dns_mappings.is_empty());
     }
 
@@ -216,20 +202,22 @@ mod tests {
             ethernet::ETHERTYPE_ARP,
             &[0u8; 28],
         );
-        assert!(parse_frame(0.0, &frame).is_none());
+        assert_eq!(classify_frame(0.0, &frame), FrameClass::NonIp);
     }
 
     #[test]
     fn garbage_skipped_without_panic() {
-        assert!(parse_frame(0.0, &[]).is_none());
-        assert!(parse_frame(0.0, &[0xde; 7]).is_none());
-        assert!(parse_frame(0.0, &[0xde; 200]).is_none());
+        let short = FrameClass::Corrupt("short ethernet frame");
+        assert_eq!(classify_frame(0.0, &[]), short);
+        assert_eq!(classify_frame(0.0, &[0xde; 7]), short);
+        // Ethertype 0xdede is not IPv4.
+        assert_eq!(classify_frame(0.0, &[0xde; 200]), FrameClass::NonIp);
     }
 
     #[test]
     fn icmp_skipped() {
         let frame = wrap_ip(ipv4::encode(DEV, SRV, 1, 11, &[0u8; 8]));
-        assert!(parse_frame(0.0, &frame).is_none());
+        assert_eq!(classify_frame(0.0, &frame), FrameClass::NonIp);
     }
 
     #[test]

@@ -1,14 +1,12 @@
 //! Ingest accounting: what a lossy-tolerant run ignored, and why.
 //!
 //! Real gateway captures are hostile — truncated records, mangled headers,
-//! duplicated and reordered packets, clock steps. The recovery-mode ingest
-//! path ([`crate::pcap::PcapScan`], or [`crate::pcap::PcapReader`] in
-//! [`crate::pcap::RecoveryMode::Recovery`], and `behaviot_flows::ingest`)
+//! duplicated and reordered packets, clock steps. The ingest path (the
+//! pcap scan of [`crate::pcap::PcapScan`] and `behaviot_flows::ingest`)
 //! never aborts on such input; instead every skipped byte and dropped
 //! record is counted here, per category, with the first few occurrences
 //! kept as samples for diagnosis. A clean capture must produce an all-zero
-//! report — the recovery path is required to be invisible when nothing is
-//! wrong.
+//! report — recovery is required to be invisible when nothing is wrong.
 
 use std::fmt;
 

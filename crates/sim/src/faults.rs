@@ -22,7 +22,7 @@
 //! never runs into the next fault's mangled bytes, and a reorder window's
 //! boundaries are clean records).
 
-use behaviot_net::pcap::PcapRecord;
+use behaviot_net::pcap::{self, PcapRecord};
 use behaviot_net::IngestReport;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -34,6 +34,10 @@ pub const CLOCK_JUMP_DELTA: f64 = 300.0;
 
 /// Minimum index distance kept free around every fault's record span.
 const SPACING: usize = 3;
+
+/// The `incl_len` a [`Fault::BadRecordLength`] writes: far past the pcap
+/// snaplen, so no reader takes it for a record header.
+const MANGLED_INCL_LEN: u32 = 0x4000_0000;
 
 /// One injected corruption, keyed by original record index.
 #[derive(Debug, Clone, PartialEq)]
@@ -427,39 +431,42 @@ impl FaultPlan {
             }
         }
 
-        let mut out = pcap_global_header();
+        let mut out = pcap::global_header().to_vec();
         for &i in &order {
             let ts = records[i].ts + ts_shift[i];
             let data = &records[i].data;
+            let len = data.len() as u32;
+            let header = pcap::record_header(ts, len, len);
             match modifier[i] {
-                Modifier::None => put_record(&mut out, ts, data.len() as u32, data),
+                Modifier::None => {
+                    out.extend_from_slice(&header);
+                    out.extend_from_slice(data);
+                }
                 Modifier::Drop => {}
                 Modifier::Duplicate => {
-                    put_record(&mut out, ts, data.len() as u32, data);
-                    put_record(&mut out, ts, data.len() as u32, data);
+                    for _ in 0..2 {
+                        out.extend_from_slice(&header);
+                        out.extend_from_slice(data);
+                    }
                 }
                 Modifier::Truncate(keep) => {
-                    put_header(&mut out, ts, keep as u32, data.len() as u32);
+                    out.extend_from_slice(&pcap::record_header(ts, keep as u32, len));
                     out.extend_from_slice(&data[..keep]);
                 }
                 Modifier::FlipByte(offset) => {
-                    let mut d = data.clone();
-                    d[offset] ^= 0xff;
-                    put_record(&mut out, ts, d.len() as u32, &d);
+                    out.extend_from_slice(&header);
+                    let at = out.len() + offset;
+                    out.extend_from_slice(data);
+                    out[at] ^= 0xff;
                 }
                 Modifier::BadLength => {
-                    let mut tmp = Vec::with_capacity(16 + data.len());
-                    put_header(&mut tmp, ts, data.len() as u32, data.len() as u32);
-                    // Mangle incl_len to an implausible value; the frame
-                    // bytes follow as they would have on disk.
-                    tmp[8..12].copy_from_slice(&0x4000_0000u32.to_le_bytes());
-                    tmp.extend_from_slice(data);
-                    out.extend_from_slice(&tmp);
+                    // The frame bytes follow the mangled header as they
+                    // would have on disk.
+                    out.extend_from_slice(&pcap::record_header(ts, MANGLED_INCL_LEN, len));
+                    out.extend_from_slice(data);
                 }
                 Modifier::Eof(keep) => {
-                    let mut tmp = Vec::with_capacity(16 + data.len());
-                    put_record(&mut tmp, ts, data.len() as u32, data);
-                    out.extend_from_slice(&tmp[..keep]);
+                    out.extend(header.iter().chain(data).take(keep));
                     return out;
                 }
             }
@@ -468,53 +475,17 @@ impl FaultPlan {
     }
 }
 
-/// The 24-byte classic pcap global header (LE, microsecond, Ethernet) —
-/// byte-identical to what `behaviot_net::pcap::PcapWriter::new` emits.
-fn pcap_global_header() -> Vec<u8> {
-    let mut out = Vec::with_capacity(24);
-    out.extend_from_slice(&0xa1b2_c3d4u32.to_le_bytes());
-    out.extend_from_slice(&2u16.to_le_bytes());
-    out.extend_from_slice(&4u16.to_le_bytes());
-    out.extend_from_slice(&0i32.to_le_bytes());
-    out.extend_from_slice(&0u32.to_le_bytes());
-    out.extend_from_slice(&65535u32.to_le_bytes());
-    out.extend_from_slice(&1u32.to_le_bytes()); // LINKTYPE_ETHERNET
-    out
-}
-
-/// Timestamp split replicating `PcapWriter::write_record`'s arithmetic
-/// exactly — the corrupted stream and the clean reference stream must
-/// reconstruct bit-identical `f64` timestamps.
-fn split_ts(ts: f64) -> (u32, u32) {
-    let secs = ts.floor();
-    let usecs = ((ts - secs) * 1e6).round() as u32;
-    if usecs >= 1_000_000 {
-        (secs as u32 + 1, 0)
-    } else {
-        (secs as u32, usecs)
-    }
-}
-
-fn put_header(out: &mut Vec<u8>, ts: f64, incl: u32, orig: u32) {
-    let (secs, usecs) = split_ts(ts);
-    out.extend_from_slice(&secs.to_le_bytes());
-    out.extend_from_slice(&usecs.to_le_bytes());
-    out.extend_from_slice(&incl.to_le_bytes());
-    out.extend_from_slice(&orig.to_le_bytes());
-}
-
-fn put_record(out: &mut Vec<u8>, ts: f64, len: u32, data: &[u8]) {
-    put_header(out, ts, len, len);
-    out.extend_from_slice(data);
-}
-
 /// Serialize records into a clean pcap byte stream (the reference side of
-/// the differential test). Byte-identical to feeding the same records
-/// through `behaviot_net::pcap::PcapWriter`.
+/// the differential test) through the header encoders
+/// [`behaviot_net::pcap::PcapWriter`] uses, so the bytes are the writer's.
+/// A timestamp the writer refuses is written with saturated seconds
+/// instead ([`behaviot_net::pcap::record_header`]).
 pub fn write_pcap(records: &[PcapRecord]) -> Vec<u8> {
-    let mut out = pcap_global_header();
+    let mut out = pcap::global_header().to_vec();
     for r in records {
-        put_record(&mut out, r.ts, r.data.len() as u32, &r.data);
+        let len = r.data.len() as u32;
+        out.extend_from_slice(&pcap::record_header(r.ts, len, len));
+        out.extend_from_slice(&r.data);
     }
     out
 }

@@ -487,7 +487,8 @@ fn poisson(lambda: f64, rng: &mut StdRng) -> usize {
 }
 
 /// Render a capture as raw Ethernet frames (pcap records) so the byte-level
-/// pipeline (`behaviot_flows::parse_frame`) can be exercised end to end.
+/// pipeline (`behaviot_flows::ingest::ingest_pcap_bytes` over the
+/// [`crate::write_pcap`] bytes) can be exercised end to end.
 /// DNS flows carry real DNS messages; the first outbound packet of each TCP
 /// 443 flow carries a TLS ClientHello with the destination's SNI.
 ///
@@ -786,6 +787,7 @@ mod tests {
 
     #[test]
     fn frames_roundtrip_through_parser() {
+        use behaviot_flows::{classify_frame, FrameClass};
         let catalog = Catalog::standard();
         let g = TrafficGenerator::new(&catalog, 11);
         let cap = g.generate(0.0, 600.0, &[], &GenOptions::default());
@@ -795,7 +797,7 @@ mod tests {
         let mut parsed = 0;
         let mut snis = 0;
         for f in &frames {
-            if let Some(pf) = behaviot_flows::parse_frame(f.ts, &f.data) {
+            if let FrameClass::Flow(pf) = classify_frame(f.ts, &f.data) {
                 parsed += 1;
                 if pf.sni.is_some() {
                     snis += 1;

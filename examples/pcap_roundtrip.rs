@@ -1,18 +1,18 @@
 //! End-to-end byte-level pipeline: simulate a capture, render it as raw
-//! Ethernet frames into a real `.pcap` file, read it back, parse every
-//! frame (with checksum validation), learn destination names from in-band
-//! DNS answers and TLS SNI, and assemble annotated flows — without touching
-//! the simulator's reverse-DNS shortcut.
+//! Ethernet frames into a real `.pcap` file, read it back and ingest it —
+//! every frame classified with checksum validation, destination names
+//! learned from in-band DNS answers and TLS SNI — and assemble annotated
+//! flows, without touching the simulator's reverse-DNS shortcut.
 //!
 //! ```sh
 //! cargo run --release --example pcap_roundtrip
 //! ```
 
-use behaviot_flows::{assemble_flows, parse_frame, DomainTable, FlowConfig};
-use behaviot_net::pcap::{PcapReader, PcapWriter};
+use behaviot_flows::ingest::{ingest_pcap_bytes, IngestOptions};
+use behaviot_flows::{assemble_flows, FlowConfig};
+use behaviot_net::pcap::PcapWriter;
 use behaviot_sim::gen::{capture_to_frames, GenOptions, TrafficGenerator};
 use behaviot_sim::Catalog;
-use std::io::Cursor;
 
 fn main() {
     let catalog = Catalog::standard();
@@ -38,32 +38,16 @@ fn main() {
         bytes.len()
     );
 
-    // ---- read it back and parse every frame -----------------------------
-    let mut reader =
-        PcapReader::new(Cursor::new(std::fs::read(&path).expect("read pcap"))).expect("pcap magic");
-    let mut packets = Vec::new();
-    let mut domains = DomainTable::new(); // learned purely in-band
-    let mut n_sni = 0;
-    let mut n_dns = 0;
-    while let Some(rec) = reader.next_record().expect("record") {
-        if let Some(parsed) = parse_frame(rec.ts, &rec.data) {
-            for (ip, name) in &parsed.dns_mappings {
-                domains.learn_dns(*ip, name);
-                n_dns += 1;
-            }
-            if let Some(host) = &parsed.sni {
-                domains.learn_sni(parsed.packet.dst, host);
-                n_sni += 1;
-            }
-            packets.push(parsed.packet);
-        }
-    }
+    // ---- read it back and ingest every frame -----------------------------
+    let read = std::fs::read(&path).expect("read pcap");
+    let ingested = ingest_pcap_bytes(&read, &IngestOptions::default()).expect("pcap magic");
+    let (packets, domains) = (ingested.packets, ingested.domains); // named purely in-band
     println!(
-        "parsed {} frames: {} DNS answers, {} TLS ClientHello SNIs, {} named servers",
+        "ingested {} of {} records as flow packets, {} named servers ({})",
         packets.len(),
-        n_dns,
-        n_sni,
-        domains.len()
+        ingested.records_seen,
+        domains.len(),
+        ingested.report
     );
 
     // ---- assemble annotated flows ---------------------------------------

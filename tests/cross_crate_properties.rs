@@ -95,7 +95,7 @@ proptest! {
         let _ = udp::parse(DEV, SRV, &bytes);
         let _ = dns::parse(&bytes);
         let _ = tls::extract_sni(&bytes);
-        let _ = behaviot_flows::parse_frame(0.0, &bytes);
+        let _ = behaviot_flows::classify_frame(0.0, &bytes);
     }
 
     /// DNS name round-trip through query building and parsing.

@@ -164,7 +164,6 @@ fn error_budget_fails_loudly_on_heavy_corruption() {
     let plan = FaultPlan::generate(99, &records, &mask, 64);
     let strict = IngestOptions {
         max_drop_frac: Some(0.0),
-        ..IngestOptions::default()
     };
     let err = ingest_pcap_bytes(&plan.corrupt(&records), &strict)
         .expect_err("a zero error budget must reject any corruption");

@@ -1,13 +1,13 @@
-//! Byte-level integration: pcap write/read → frame parsing (checksums) →
-//! in-band naming (DNS + SNI) → flow assembly. This is the path a real
-//! gateway deployment uses; the simulator's reverse-DNS shortcut is
-//! deliberately not used here.
+//! Byte-level integration: pcap write/read → frame classification
+//! (checksums) → in-band naming (DNS + SNI) → flow assembly. This is the
+//! path a real gateway deployment uses; the simulator's reverse-DNS shortcut
+//! is deliberately not used here.
 
-use behaviot_flows::{assemble_flows, parse_frame, DomainTable, FlowConfig};
-use behaviot_net::pcap::{PcapReader, PcapWriter};
+use behaviot_flows::ingest::{ingest_pcap_bytes, IngestOptions};
+use behaviot_flows::{assemble_flows, classify_frame, FlowConfig, FrameClass};
+use behaviot_net::pcap::{PcapScan, PcapWriter};
 use behaviot_sim::gen::{capture_to_frames, GenOptions, ScheduledEvent, TrafficGenerator};
-use behaviot_sim::Catalog;
-use std::io::Cursor;
+use behaviot_sim::{write_pcap, Catalog};
 
 fn frames_for_window(seconds: f64) -> (Catalog, Vec<behaviot_net::pcap::PcapRecord>) {
     let catalog = Catalog::standard();
@@ -31,33 +31,26 @@ fn pcap_roundtrip_preserves_frames() {
         w.write_record(f).unwrap();
     }
     let bytes = w.finish().unwrap();
-    let mut r = PcapReader::new(Cursor::new(bytes)).unwrap();
-    let back = r.read_all().unwrap();
-    assert_eq!(back.len(), frames.len());
-    for (a, b) in back.iter().zip(&frames) {
-        assert_eq!(a.data, b.data);
+    let mut scan = PcapScan::new(&bytes).unwrap();
+    let mut n = 0;
+    for (a, b) in scan.by_ref().zip(&frames) {
+        assert_eq!(a.data, &b.data[..]);
         assert!((a.ts - b.ts).abs() < 2e-6);
+        n += 1;
     }
+    assert_eq!(n, frames.len());
+    assert!(scan.next().is_none());
+    assert!(scan.report().is_clean(), "{}", scan.report());
 }
 
 #[test]
 fn frames_parse_and_flows_get_inband_names() {
     let (catalog, frames) = frames_for_window(900.0);
-    let mut packets = Vec::new();
-    let mut domains = DomainTable::new();
-    for f in &frames {
-        // ARP and ICMP chatter is skipped; TCP/UDP frames all parse.
-        let Some(parsed) = parse_frame(f.ts, &f.data) else {
-            continue;
-        };
-        for (ip, name) in &parsed.dns_mappings {
-            domains.learn_dns(*ip, name);
-        }
-        if let Some(host) = &parsed.sni {
-            domains.learn_sni(parsed.packet.dst, host);
-        }
-        packets.push(parsed.packet);
-    }
+    let ingested = ingest_pcap_bytes(&write_pcap(&frames), &IngestOptions::default()).unwrap();
+    // ARP and ICMP chatter is skipped; TCP/UDP frames all parse.
+    assert!(ingested.report.is_clean(), "{}", ingested.report);
+    assert_eq!(ingested.records_seen, frames.len() as u64);
+    let (packets, domains) = (ingested.packets, ingested.domains);
     assert!(!packets.is_empty() && packets.len() < frames.len());
     assert!(domains.len() > 50, "learned {} names", domains.len());
 
@@ -96,7 +89,7 @@ fn corrupted_frames_are_skipped_not_fatal() {
     }
     let mut parsed = 0;
     for f in &frames {
-        if parse_frame(f.ts, &f.data).is_some() {
+        if matches!(classify_frame(f.ts, &f.data), FrameClass::Flow(_)) {
             parsed += 1;
         }
     }
