@@ -36,7 +36,6 @@ use behaviot_bench::{
 };
 use behaviot_flows::{assemble_flows, FlowConfig};
 use behaviot_intern::Symbol;
-use behaviot_obs::SnapshotDiff;
 use behaviot_sim::{self as sim, ExpectedSignal, IncidentScript, UncontrolledConfig};
 use behaviot_store::{ModelStore, SnapshotSpec};
 use std::fmt::Write as _;
@@ -236,14 +235,15 @@ fn main() {
     let _ = writeln!(out, "covered {covered}/{} scripted incidents", truth.len());
 
     // ---- windowed metric rates -------------------------------------------
-    let diff = SnapshotDiff::between(&before, &behaviot_obs::metrics().snapshot());
+    let after = behaviot_obs::metrics().snapshot();
     let _ = writeln!(out, "\n--- replay metrics ({days} windows) ---");
     for name in [
         "monitor.deviations",
         "monitor.ledger_records",
         "fleet.transitions",
     ] {
-        if let Some(c) = diff.counter(name) {
+        if let Some(total) = after.counter(name) {
+            let c = total.saturating_sub(before.counter(name).unwrap_or(0));
             let _ = writeln!(
                 out,
                 "{name:<24} {c:>8} total  {:>8.2}/day",

@@ -17,8 +17,7 @@
 //! On top of the metrics registry sit the fleet-observability surfaces:
 //! the [`ledger`] module (append-only deviation audit ledger sinks; see
 //! DESIGN.md §15) and the [`openmetrics`] module (Prometheus/OpenMetrics
-//! text exposition plus the [`SnapshotDiff`] windowed-rate differ). Both
-//! inherit the metrics determinism contract.
+//! text exposition). Both inherit the metrics determinism contract.
 //!
 //! See `DESIGN.md` §10 for the span model and the deterministic-aggregation
 //! rule.
@@ -39,7 +38,6 @@ pub use metrics::{
     Counter, Gauge, Histogram, HistogramSnapshot, HistogramSummary, MetricValue, MetricsRegistry,
     MetricsSnapshot,
 };
-pub use openmetrics::{MetricDelta, SnapshotDiff};
 pub use trace::{FieldValue, SpanGuard, SpanRecord, Tracer};
 
 use std::sync::OnceLock;
