@@ -41,7 +41,7 @@ fn timer_vs_dbscan(p: &Prepared) -> String {
     let (mut truth, mut full, mut timer_only) = (0usize, 0usize, 0usize);
     for l in &folds[1] {
         let f = &l.flow;
-        let is_periodic = timers.classify(&models, f);
+        let full_hit = timers.classify(&models, f);
         let (destination, proto) = f.group_key();
         let key = (f.device, destination, proto);
         let timer_hit = models.get(&key).is_some_and(|m| {
@@ -50,7 +50,7 @@ fn timer_vs_dbscan(p: &Prepared) -> String {
         });
         if matches!(l.label, Some(TruthLabel::Periodic(..))) {
             truth += 1;
-            full += usize::from(is_periodic);
+            full += usize::from(full_hit);
             timer_only += usize::from(timer_hit);
         }
     }

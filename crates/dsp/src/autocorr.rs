@@ -15,15 +15,15 @@ use crate::fft::{next_pow2, Complex, FftScratch};
 /// # Kernel notes
 ///
 /// Both transforms run through the real-input FFT: the centered signal is
-/// real, and so is its power spectrum `|X|²`. For a real sequence `P`,
-/// `ifft(P)` and `fft(P)` have bitwise-identical real parts (conjugating the
-/// twiddles only negates imaginary parts, and negation is exact), so the
-/// inverse transform is replaced by a second forward `rfft` — each half the
-/// work of the complex transforms the previous implementation used. The
-/// inverse transform's `1/N` pass is dropped entirely: `N` is a power of
-/// two, so it scaled numerator and denominator of the `acf` ratio exactly
-/// and cancels without changing a single output bit (the zero-variance
-/// guard's threshold is rescaled by `N` to match).
+/// real, and so is its power spectrum `|X|²`. For a real sequence `P`, the
+/// inverse and the forward transform of `P` have bitwise-identical real
+/// parts (conjugating the twiddles only negates imaginary parts, and
+/// negation is exact), so the inverse transform is a second forward `rfft`
+/// — each half the work of the complex transforms the previous
+/// implementation used. The inverse transform's `1/N` pass is dropped
+/// entirely: `N` is a power of two, so it scales numerator and denominator
+/// of the `acf` ratio exactly and cancels without changing a single output
+/// bit (the zero-variance guard's threshold is rescaled by `N` to match).
 pub fn autocorrelation_into(
     signal: &[f64],
     max_lag: usize,

@@ -108,24 +108,6 @@ impl Ecdf {
     }
 }
 
-/// Additive (Laplace) smoothing of a transition-count row: converts raw
-/// counts into probabilities with `alpha` pseudo-counts spread over
-/// `vocab_size` outcomes:
-///
-/// `p_i = (count_i + alpha) / (total + alpha * vocab_size)`.
-///
-/// Used when scoring traces against the PFSM so an unseen transition has a
-/// small non-zero probability rather than collapsing the whole trace score
-/// to zero (§4.3, footnote 3).
-pub fn additive_smoothing(count: u64, total: u64, vocab_size: usize, alpha: f64) -> f64 {
-    debug_assert!(alpha >= 0.0);
-    let denom = total as f64 + alpha * vocab_size as f64;
-    if denom <= 0.0 {
-        return 0.0;
-    }
-    (count as f64 + alpha) / denom
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -193,30 +175,5 @@ mod tests {
     fn knee_degenerate_constant() {
         let e = Ecdf::new(vec![2.0; 50]);
         assert!(e.knee(0.0).is_none());
-    }
-
-    #[test]
-    fn smoothing_no_counts() {
-        // alpha=1, vocab=4, no observations: uniform 1/4.
-        assert!((additive_smoothing(0, 0, 4, 1.0) - 0.25).abs() < 1e-12);
-    }
-
-    #[test]
-    fn smoothing_preserves_ordering_and_sums_to_one() {
-        let counts = [5u64, 3, 2, 0];
-        let total: u64 = counts.iter().sum();
-        let ps: Vec<f64> = counts
-            .iter()
-            .map(|&c| additive_smoothing(c, total, 4, 0.5))
-            .collect();
-        assert!((ps.iter().sum::<f64>() - 1.0).abs() < 1e-12);
-        assert!(ps[0] > ps[1] && ps[1] > ps[2] && ps[2] > ps[3]);
-        assert!(ps[3] > 0.0);
-    }
-
-    #[test]
-    fn smoothing_zero_alpha_is_mle() {
-        assert!((additive_smoothing(3, 10, 7, 0.0) - 0.3).abs() < 1e-12);
-        assert_eq!(additive_smoothing(0, 0, 7, 0.0), 0.0);
     }
 }

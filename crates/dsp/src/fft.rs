@@ -175,10 +175,9 @@ fn bit_reverse(buf: &mut [Complex]) {
     }
 }
 
-/// All butterfly passes over a bit-reversed buffer. `INV` selects the
-/// inverse transform (conjugated twiddles — an exact negation, monomorphized
-/// so the forward loop carries no branch). `stages` must cover `buf.len()`.
-fn fft_stages<const INV: bool>(buf: &mut [Complex], stages: &[Complex]) {
+/// All butterfly passes over a bit-reversed buffer. `stages` must cover
+/// `buf.len()`.
+fn fft_stages(buf: &mut [Complex], stages: &[Complex]) {
     let n = buf.len();
     let mut len = 2;
     while len <= n {
@@ -188,7 +187,7 @@ fn fft_stages<const INV: bool>(buf: &mut [Complex], stages: &[Complex]) {
         while base < n {
             let (a, b) = buf[base..base + len].split_at_mut(half);
             for k in 0..half {
-                let w = if INV { tw[k].conj() } else { tw[k] };
+                let w = tw[k];
                 let u = a[k];
                 let v = b[k].mul(w);
                 a[k] = u.add(v);
@@ -263,7 +262,7 @@ pub fn fft(buf: &mut [Complex]) {
     }
     let stages = local_tables(n);
     bit_reverse(buf);
-    fft_stages::<false>(buf, &stages);
+    fft_stages(buf, &stages);
 }
 
 /// In-place forward FFT of a **real** signal: `buf` must hold the samples in
@@ -287,29 +286,6 @@ pub fn rfft(buf: &mut [Complex]) {
     let stages = local_tables(n);
     bit_reverse(buf);
     rfft_stages(buf, &stages);
-}
-
-/// In-place inverse FFT (including the `1/N` normalization). Panics if
-/// `buf.len()` is not a power of two.
-pub fn ifft(buf: &mut [Complex]) {
-    let n = buf.len();
-    assert!(
-        n.is_power_of_two(),
-        "FFT length must be a power of two, got {n}"
-    );
-    if n <= 1 {
-        return;
-    }
-    let stages = local_tables(n);
-    bit_reverse(buf);
-    fft_stages::<true>(buf, &stages);
-    // N is a power of two, so multiplying by the exact reciprocal is
-    // bit-identical to dividing — and pipelines instead of stalling.
-    let inv_n = 1.0 / n as f64;
-    for v in buf.iter_mut() {
-        v.re *= inv_n;
-        v.im *= inv_n;
-    }
 }
 
 /// Reusable FFT working memory: the transform buffer plus the cached twiddle
@@ -442,19 +418,6 @@ mod tests {
         fft(&mut fast);
         let slow = dft_naive(&xs);
         for (a, b) in fast.iter().zip(slow.iter()) {
-            assert!(close(a.re, b.re, 1e-9) && close(a.im, b.im, 1e-9));
-        }
-    }
-
-    #[test]
-    fn fft_ifft_roundtrip() {
-        let xs: Vec<Complex> = (0..64)
-            .map(|i| Complex::new(i as f64, (i * 3 % 7) as f64))
-            .collect();
-        let mut buf = xs.clone();
-        fft(&mut buf);
-        ifft(&mut buf);
-        for (a, b) in buf.iter().zip(xs.iter()) {
             assert!(close(a.re, b.re, 1e-9) && close(a.im, b.im, 1e-9));
         }
     }

@@ -8,8 +8,8 @@
 //! * autocorrelation ([`autocorr`]),
 //! * the unsupervised period-detection procedure of §4.1 combining DFT
 //!   candidate extraction with autocorrelation validation ([`period`]),
-//! * empirical CDFs, knee detection and additive smoothing used by the
-//!   deviation metrics of §4.3 ([`cdf`]).
+//! * empirical CDFs and knee detection used by the deviation metrics of
+//!   §4.3 ([`cdf`]).
 //!
 //! Everything here is dependency-free, deterministic and extensively
 //! unit/property tested.
@@ -23,8 +23,6 @@ pub mod fft;
 pub mod period;
 pub mod stats;
 
-pub use cdf::{additive_smoothing, Ecdf};
-pub use fft::{fft, ifft, rfft, Complex, FftScratch};
-pub use period::{
-    detect_periods, detect_periods_batch, DetectedPeriod, PeriodConfig, PeriodDetector,
-};
+pub use cdf::Ecdf;
+pub use fft::{fft, rfft, Complex, FftScratch};
+pub use period::{detect_periods, DetectedPeriod, PeriodConfig, PeriodDetector};

@@ -28,7 +28,6 @@
 use crate::autocorr::{autocorrelation_into, is_acf_hill, refine_peak};
 use crate::fft::{periodogram_into, FftScratch};
 use crate::stats;
-use behaviot_par::{par_map_init, Parallelism};
 use std::sync::OnceLock;
 
 /// Tunable parameters of the period detector. `Default` matches the values
@@ -269,33 +268,9 @@ impl PeriodDetector {
 
 /// Detect the periods of one event-timestamp sequence. Allocating
 /// convenience wrapper around [`PeriodDetector::detect`]; batch callers
-/// should hold a detector (or use [`detect_periods_batch`]) to reuse its
-/// buffers.
+/// should hold a detector to reuse its buffers.
 pub fn detect_periods(timestamps: &[f64], cfg: &PeriodConfig) -> Vec<DetectedPeriod> {
     PeriodDetector::new(cfg.clone()).detect(timestamps)
-}
-
-/// Detect periods for many independent timestamp sequences, fanned out over
-/// worker threads with one reused [`PeriodDetector`] per worker. Output
-/// order matches input order exactly, and every entry is identical to a
-/// serial [`detect_periods`] call on the same sequence.
-pub fn detect_periods_batch<S: AsRef<[f64]> + Sync>(
-    series: &[S],
-    cfg: &PeriodConfig,
-    par: Parallelism,
-) -> Vec<Vec<DetectedPeriod>> {
-    let _span = behaviot_obs::span!("dsp.period_detect_batch", series = series.len());
-    par_map_init(
-        par,
-        series,
-        || PeriodDetector::new(cfg.clone()),
-        |det, _, ts| det.detect(ts.as_ref()),
-    )
-}
-
-/// Convenience predicate: does the sequence exhibit any periodicity?
-pub fn is_periodic(timestamps: &[f64], cfg: &PeriodConfig) -> bool {
-    !detect_periods(timestamps, cfg).is_empty()
 }
 
 /// Refine a coarse (bin-resolution) period against the raw inter-event gaps:
@@ -531,30 +506,6 @@ mod tests {
         let noise = random_events(500, 3600.0 * 8.0, 99);
         det.detect_into(&noise, &mut out);
         assert!(out.is_empty());
-    }
-
-    #[test]
-    fn batch_matches_serial_per_thread_count() {
-        let cfg = PeriodConfig::default();
-        let inputs: Vec<Vec<f64>> = (0..8)
-            .map(|i| {
-                if i % 2 == 0 {
-                    periodic_events(45.0 + 20.0 * i as f64, 3600.0 * 24.0, 1.0, i)
-                } else {
-                    random_events(400, 3600.0 * 8.0, 77 + i)
-                }
-            })
-            .collect();
-        let serial: Vec<_> = inputs.iter().map(|ts| detect_periods(ts, &cfg)).collect();
-        for par in [
-            behaviot_par::Parallelism::Off,
-            behaviot_par::Parallelism::Fixed(2),
-            behaviot_par::Parallelism::Fixed(3),
-            behaviot_par::Parallelism::Fixed(7),
-            behaviot_par::Parallelism::Auto,
-        ] {
-            assert_eq!(detect_periods_batch(&inputs, &cfg, par), serial, "{par}");
-        }
     }
 
     #[test]

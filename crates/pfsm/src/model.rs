@@ -392,8 +392,14 @@ impl Pfsm {
     }
 }
 
-/// Additive smoothing as in `behaviot-dsp` (duplicated locally to keep this
-/// crate dependency-free; the formula is one line).
+/// Additive (Laplace) smoothing of a transition-count row: `alpha`
+/// pseudo-counts spread over `vocab` outcomes,
+///
+/// `p = (count + alpha) / (total + alpha * vocab)`,
+///
+/// so an unseen transition has a small non-zero probability rather than
+/// collapsing the whole trace score to zero (§4.3, footnote 3). A row with
+/// no counts and no pseudo-counts has probability 0.
 fn behaviot_smoothing(count: u64, total: u64, vocab: usize, alpha: f64) -> f64 {
     let denom = total as f64 + alpha * vocab as f64;
     if denom <= 0.0 {
@@ -865,5 +871,30 @@ mod tests {
         let s = m.score(&l.resolve(&["b", "a"]));
         // log10 of MIN_POSITIVE floor: hugely negative.
         assert!(s.log10_prob < -100.0);
+    }
+
+    #[test]
+    fn smoothing_no_counts() {
+        // alpha=1, vocab=4, no observations: uniform 1/4.
+        assert!((behaviot_smoothing(0, 0, 4, 1.0) - 0.25).abs() < 1e-12);
+    }
+
+    #[test]
+    fn smoothing_preserves_ordering_and_sums_to_one() {
+        let counts = [5u64, 3, 2, 0];
+        let total: u64 = counts.iter().sum();
+        let ps: Vec<f64> = counts
+            .iter()
+            .map(|&c| behaviot_smoothing(c, total, 4, 0.5))
+            .collect();
+        assert!((ps.iter().sum::<f64>() - 1.0).abs() < 1e-12);
+        assert!(ps[0] > ps[1] && ps[1] > ps[2] && ps[2] > ps[3]);
+        assert!(ps[3] > 0.0);
+    }
+
+    #[test]
+    fn smoothing_zero_alpha_is_mle() {
+        assert!((behaviot_smoothing(3, 10, 7, 0.0) - 0.3).abs() < 1e-12);
+        assert_eq!(behaviot_smoothing(0, 0, 7, 0.0), 0.0);
     }
 }

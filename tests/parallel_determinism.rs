@@ -6,12 +6,10 @@
 
 use behaviot::periodic::{PeriodicModelSet, PeriodicTrainConfig};
 use behaviot::{BehavIoT, TrainConfig, TrainingData};
-use behaviot_dsp::{detect_periods, detect_periods_batch, PeriodConfig};
 use behaviot_flows::{assemble_flows, FlowConfig, FlowRecord};
 use behaviot_forest::{RandomForest, RandomForestConfig};
 use behaviot_par::Parallelism;
 use behaviot_sim::{self as sim, Catalog, TruthLabel};
-use proptest::prelude::*;
 use std::collections::HashMap;
 
 /// The non-serial policies under test. Odd fixed counts exercise uneven
@@ -177,28 +175,5 @@ fn forest_identical_to_serial() {
         );
         let probs = forest.predict_proba_batch(&x, par);
         assert_eq!(probs, ref_probs, "forest probabilities differ under {par}");
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    /// Property: batch period detection over randomly sized/spaced series
-    /// equals the per-series serial detector under every thread count.
-    #[test]
-    fn period_batch_matches_serial(
-        periods in proptest::collection::vec(20.0f64..900.0, 1..12),
-        lens in proptest::collection::vec(50usize..300, 1..12),
-    ) {
-        let n = periods.len().min(lens.len());
-        let series: Vec<Vec<f64>> = (0..n)
-            .map(|s| (0..lens[s]).map(|k| k as f64 * periods[s]).collect())
-            .collect();
-        let cfg = PeriodConfig::default();
-        let expect: Vec<_> = series.iter().map(|ts| detect_periods(ts, &cfg)).collect();
-        for par in [Parallelism::Off, Parallelism::Fixed(3), Parallelism::Auto] {
-            let got = detect_periods_batch(&series, &cfg, par);
-            prop_assert_eq!(&got, &expect);
-        }
     }
 }
